@@ -1,6 +1,7 @@
-//! Transient-kernel throughput bench: the Monte Carlo sweep inner loop, measured three
-//! ways — the pre-PR scalar RK4 kernel, the embedded-pair scalar kernel, and the batched
-//! Monte Carlo kernel — at both configuration presets.
+//! Transient-kernel throughput bench: the Monte Carlo sweep inner loop, measured four
+//! ways — the seed's scalar RK4 kernel, the scalar embedded-pair kernel (the two test
+//! oracles), and the production SIMD quad kernel one lane at a time and batched — at both
+//! configuration presets.
 //!
 //! Beyond the console table, the bench writes the **`BENCH_transient.json`** artifact
 //! (sims/sec, steps/sim, device-evals/sim, accuracy against the golden reference, and the
@@ -19,8 +20,7 @@ use slic::prelude::*;
 use slic_bench::banner;
 use slic_bench::emit::{SpeedupReport, TransientBenchReport, VariantReport};
 use slic_spice::{
-    simulate_switching_batch_simd_with_stats, simulate_switching_batch_with_stats,
-    simulate_switching_rk4_with_stats, simulate_switching_simd_with_stats,
+    simulate_switching_batch_with_stats, simulate_switching_rk4_with_stats,
     simulate_switching_with_stats, TransientStats,
 };
 
@@ -114,7 +114,7 @@ fn accuracy_vs(golden: &[TimingMeasurement], measured: &[TimingMeasurement]) -> 
 fn main() {
     banner(
         "Transient kernel throughput (BENCH_transient.json)",
-        "Monte Carlo sweep: scalar RK4 (pre-PR) vs embedded-pair scalar vs batched lanes",
+        "Monte Carlo sweep: scalar RK4 vs embedded-pair scalar vs SIMD quad lanes",
     );
     let w = workload();
     let sims = w.points.len() * w.lanes.len();
@@ -148,11 +148,11 @@ fn main() {
         ("fast", TransientConfig::fast()),
         ("accurate", TransientConfig::accurate()),
     ] {
-        // Each variant runs the identical (point × seed) sweep.  The scalar variants
-        // rebuild the equivalent inverter per simulation — exactly what the pre-PR engine
-        // paid per `solve` — while the batched variant amortizes lane setup across points
-        // the way the batch kernel's callers can.
-        let kernels: [(&str, KernelRun); 5] = [
+        // Each variant runs the identical (point × seed) sweep.  The per-simulation
+        // variants rebuild the equivalent inverter per simulation — what a one-lane solve
+        // pays — while the batched variant amortizes lane setup across points the way the
+        // engine's worklists can.
+        let kernels: [(&str, KernelRun); 4] = [
             (
                 "rk4_scalar",
                 Box::new(|| {
@@ -163,9 +163,7 @@ fn main() {
                             let eq = EquivalentInverter::build(&w.tech, w.cell, seed);
                             let (m, s) = simulate_switching_rk4_with_stats(&eq, &w.arc, p, &config)
                                 .expect("simulation completes");
-                            total.steps += s.steps;
-                            total.rejected_steps += s.rejected_steps;
-                            total.device_evals += s.device_evals;
+                            total.merge(&s);
                             ms.push(m);
                         }
                     }
@@ -182,29 +180,7 @@ fn main() {
                             let eq = EquivalentInverter::build(&w.tech, w.cell, seed);
                             let (m, s) = simulate_switching_with_stats(&eq, &w.arc, p, &config)
                                 .expect("simulation completes");
-                            total.steps += s.steps;
-                            total.rejected_steps += s.rejected_steps;
-                            total.device_evals += s.device_evals;
-                            ms.push(m);
-                        }
-                    }
-                    (ms, total)
-                }),
-            ),
-            (
-                "embedded_batch",
-                Box::new(|| {
-                    let mut total = TransientStats::default();
-                    let mut ms = Vec::with_capacity(sims);
-                    for p in &w.points {
-                        for result in
-                            simulate_switching_batch_with_stats(&w.lanes, &w.arc, p, &config)
-                                .expect("config is valid")
-                        {
-                            let (m, s) = result.expect("simulation completes");
-                            total.steps += s.steps;
-                            total.rejected_steps += s.rejected_steps;
-                            total.device_evals += s.device_evals;
+                            total.merge(&s);
                             ms.push(m);
                         }
                     }
@@ -219,12 +195,16 @@ fn main() {
                     for p in &w.points {
                         for seed in &w.seeds {
                             let eq = EquivalentInverter::build(&w.tech, w.cell, seed);
-                            let (m, s) =
-                                simulate_switching_simd_with_stats(&eq, &w.arc, p, &config)
-                                    .expect("simulation completes");
-                            total.steps += s.steps;
-                            total.rejected_steps += s.rejected_steps;
-                            total.device_evals += s.device_evals;
+                            let (m, s) = simulate_switching_batch_with_stats(
+                                std::slice::from_ref(&eq),
+                                &w.arc,
+                                p,
+                                &config,
+                            )
+                            .expect("config is valid")
+                            .remove(0)
+                            .expect("simulation completes");
+                            total.merge(&s);
                             ms.push(m);
                         }
                     }
@@ -237,14 +217,12 @@ fn main() {
                     let mut total = TransientStats::default();
                     let mut ms = Vec::with_capacity(sims);
                     for p in &w.points {
-                        let (results, _) =
-                            simulate_switching_batch_simd_with_stats(&w.lanes, &w.arc, p, &config)
-                                .expect("config is valid");
-                        for result in results {
+                        for result in
+                            simulate_switching_batch_with_stats(&w.lanes, &w.arc, p, &config)
+                                .expect("config is valid")
+                        {
                             let (m, s) = result.expect("simulation completes");
-                            total.steps += s.steps;
-                            total.rejected_steps += s.rejected_steps;
-                            total.device_evals += s.device_evals;
+                            total.merge(&s);
                             ms.push(m);
                         }
                     }
@@ -298,12 +276,10 @@ fn main() {
     };
     let speedups: Vec<SpeedupReport> = [
         ratio("embedded_scalar", "rk4_scalar", "fast"),
-        ratio("embedded_batch", "rk4_scalar", "fast"),
         ratio("embedded_scalar", "rk4_scalar", "accurate"),
-        ratio("embedded_batch", "rk4_scalar", "accurate"),
-        ratio("simd_batch", "embedded_batch", "fast"),
+        ratio("simd_batch", "embedded_scalar", "fast"),
         ratio("simd_batch", "rk4_scalar", "fast"),
-        ratio("simd_batch", "embedded_batch", "accurate"),
+        ratio("simd_batch", "embedded_scalar", "accurate"),
         ratio("simd_batch", "rk4_scalar", "accurate"),
     ]
     .into_iter()

@@ -16,7 +16,7 @@ use std::path::Path;
 /// Measurements of one kernel variant at one configuration preset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariantReport {
-    /// Kernel variant: `rk4_scalar`, `embedded_scalar` or `embedded_batch`.
+    /// Kernel variant: `rk4_scalar`, `embedded_scalar`, `simd_scalar` or `simd_batch`.
     pub name: String,
     /// Configuration preset: `fast` or `accurate`.
     pub config: String,
@@ -39,7 +39,7 @@ pub struct VariantReport {
 /// One named speedup ratio derived from the variant table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupReport {
-    /// Ratio name, e.g. `embedded_batch_vs_rk4_scalar_fast`.
+    /// Ratio name, e.g. `simd_batch_vs_embedded_scalar_fast`.
     pub name: String,
     /// Throughput ratio (dimensionless, > 1 means faster).
     pub ratio: f64,

@@ -79,8 +79,6 @@ SUBCOMMANDS:
                     --library <name>        paper-trio (default) | standard
                     --profile <name>        quick (default) | accurate
                     --cache <file>          persistent simulation cache (JSON lines)
-                    --simd                  route batched lanes through the SIMD quad
-                                            kernel (kernel.simd = true)
                     --out <file>            output database JSON (default history.json)
 
     characterize  Run a library-scale characterization plan (or one shard of it).
@@ -108,10 +106,6 @@ SUBCOMMANDS:
                                             --variation; default from profile)
                     --variation-sigma <a,b> sigma corners reported, e.g. 1,3
                                             (implies --variation)
-                    --simd                  route batched lanes through the SIMD quad
-                                            kernel (local backend only); delays stay
-                                            within the CI-gated 0.5% accuracy envelope,
-                                            and the artifact gains a kernel cost section
                     --out <file>            run artifact JSON (default run.json)
                     --liberty <file>        also write the Liberty text here
 
@@ -254,7 +248,7 @@ fn main() -> ExitCode {
     // `slic cache <action> --flag value ...` takes a positional action before its flags.
     // `switches` are valueless boolean flags (recorded as "true" when present).
     let (flag_args, allowed, switches): (&[String], Vec<&str>, Vec<&str>) = match command {
-        "learn" => (&args[1..], CONFIG_FLAGS.to_vec(), vec!["simd", "progress"]),
+        "learn" => (&args[1..], CONFIG_FLAGS.to_vec(), vec!["progress"]),
         "characterize" => {
             let mut flags = CONFIG_FLAGS.to_vec();
             flags.extend([
@@ -264,7 +258,7 @@ fn main() -> ExitCode {
                 "variation-seeds",
                 "variation-sigma",
             ]);
-            (&args[1..], flags, vec!["variation", "simd", "progress"])
+            (&args[1..], flags, vec!["variation", "progress"])
         }
         "worker" => (
             &args[1..],
@@ -551,11 +545,6 @@ fn build_config(flags: &BTreeMap<String, String>) -> Result<RunConfig, PipelineE
         }
         config.variation = Some(knobs);
     }
-    if flags.contains_key("simd") {
-        let mut knobs = config.kernel.clone().unwrap_or_default();
-        knobs.simd = Some(true);
-        config.kernel = Some(knobs);
-    }
     if let Some(v) = flags.get("trace") {
         let mut knobs = config.observability.clone().unwrap_or_default();
         knobs.trace = Some(v.clone());
@@ -660,7 +649,7 @@ fn build_runner(
 
 /// Prints the unified post-run summary in one stable, documented order:
 ///
-///   1. `kernel (...)`         — transient kernel cost, when the backend exposes one
+///   1. `kernel: ...`          — transient kernel cost, when the backend exposes one
 ///   2. `dispatch: ...`        — batched-dispatch lane accounting, when lanes flowed
 ///   3. `farm: ...`            — fleet liveness and job totals, farmed runs only
 ///   4. `farm resilience: ...` — reconnect/heartbeat/degradation counters, farmed runs
@@ -688,9 +677,8 @@ fn print_run_summary(runner: &PipelineRunner, farm: Option<&FarmBackend>) -> Met
             .map(|o| format!(", {:.0}% quad occupancy", o * 100.0))
             .unwrap_or_default();
         println!(
-            "kernel ({}): {} sims, {:.1} steps/sim, {:.1} device evals/sim, \
+            "kernel: {} sims, {:.1} steps/sim, {:.1} device evals/sim, \
              {} rejected steps{occupancy}",
-            if stats.simd { "simd" } else { "scalar" },
             stats.sims,
             stats.steps_per_sim(),
             stats.device_evals_per_sim(),

@@ -102,8 +102,8 @@ impl CompiledDevice {
 /// [`CompiledDevice::drain_current`] but routes every transcendental through the
 /// fixed-polynomial kernels of [`crate::vmath`], so the four lanes vectorize.  The results
 /// are *numerically equivalent* to the scalar path (relative error below `5e-8`), not
-/// bitwise identical — which is why the SIMD kernel is opt-in and carries an accuracy gate
-/// instead of the scalar path's bitwise guarantee.  Each output lane depends only on its
+/// bitwise identical — which is why the quad kernel carries an accuracy gate against the
+/// golden reference instead of a bitwise guarantee against the scalar path.  Each output lane depends only on its
 /// own input lane, so values are independent of quad composition.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompiledDeviceX4 {
@@ -469,7 +469,7 @@ mod tests {
 
     /// Tolerance of the SIMD lanes against the scalar compiled model: the polynomial
     /// kernels are sized to ~1e-9 relative (see `vmath`), and composition through the
-    /// model stays within ~5e-8 — five orders below the SIMD mode's 0.5 % gate.
+    /// model stays within ~5e-8 — five orders below the quad kernel's 0.5 % gate.
     const X4_TOLERANCE: f64 = 5e-8;
 
     fn x4_matches_scalar(c: &CompiledDevice, vgs: f64, vds: f64) {

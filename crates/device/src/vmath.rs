@@ -8,7 +8,7 @@
 //! selection — so the autovectorizer can keep all four lanes in vector registers on the
 //! baseline `x86-64` target (SSE2) with no unstable features and no `unsafe`.
 //!
-//! Accuracy: the polynomial degrees are sized to the SIMD mode's *end-to-end* budget, not
+//! Accuracy: the polynomial degrees are sized to the quad kernel's *end-to-end* budget, not
 //! to ulp-exactness — every kernel stays within `1e-8` relative of libm over the domains
 //! the device model produces, five orders of magnitude below the 0.5 % accuracy bound the
 //! SIMD kernel is CI-gated on, while keeping the Horner chains short enough to beat libm.
@@ -18,9 +18,9 @@
 //!
 //! On targets with hardware FMA (the workspace compiles for `x86-64-v3`, see
 //! `.cargo/config.toml`) the Horner recurrences use fused multiply-adds; elsewhere they
-//! fall back to separate multiply and add.  SIMD-mode results therefore depend on the
-//! build target — one more reason the mode is opt-in and accuracy-gated rather than
-//! bitwise-guaranteed.
+//! fall back to separate multiply and add.  Quad-kernel results therefore depend on the
+//! build target — one more reason the kernel is accuracy-gated against the golden
+//! reference rather than bitwise-guaranteed against libm.
 
 /// Four independent lanes of `f64`.
 pub type F64x4 = [f64; 4];
@@ -68,7 +68,7 @@ const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
 /// costing hundreds of cycles *per lane per round*, which measurably dominated whole
 /// transients whose pull-up device idles at `vds ≈ 0`.  Relative error stays below
 /// `1e-9` (degree-8 Taylor kernel on `|r| ≤ ln2/2` after exact two-step reduction —
-/// remainder `r⁹/9! ≈ 3e-10` relative, sized to the SIMD mode's accuracy budget, not to
+/// remainder `r⁹/9! ≈ 3e-10` relative, sized to the quad kernel's accuracy budget, not to
 /// the ulp).
 #[inline(always)]
 pub fn exp4(x: F64x4) -> F64x4 {
@@ -106,7 +106,7 @@ const SQRT_HALF_BITS: u64 = 0x3fe6_a09e_667f_3bcd;
 /// Arguments are clamped up to `f64::MIN_POSITIVE` (the device model never produces a
 /// subnormal voltage ratio; the clamp only guards the bit decomposition).  Relative error
 /// stays below `5e-9` (atanh series to `s⁹` on the reduced mantissa — remainder
-/// `s¹⁰/11 ≈ 2e-9` relative, sized to the SIMD mode's accuracy budget).
+/// `s¹⁰/11 ≈ 2e-9` relative, sized to the quad kernel's accuracy budget).
 #[inline(always)]
 pub fn ln4(x: F64x4) -> F64x4 {
     let mut out = [0.0_f64; 4];

@@ -4,7 +4,7 @@
 //! strict request/response alternation on one connection:
 //!
 //! ```text
-//! worker → broker   {"type":"hello","protocol":2,"kernel":"2","worker":"w0"}
+//! worker → broker   {"type":"hello","protocol":2,"kernel":"3","worker":"w0"}
 //! broker → worker   {"type":"ping","id":3}
 //! worker → broker   {"type":"pong","id":3}
 //! broker → worker   {"type":"batch","id":7,"requests":[{...}, ...]}

@@ -243,84 +243,6 @@ impl VariationSection {
     }
 }
 
-/// The transient-kernel record of a run: what the hot path cost and how batched lanes
-/// were dispatched.  Recorded only when the run opted into the SIMD kernel
-/// (`kernel.simd = true`), and omitted — not `null` — from the JSON otherwise, so default
-/// runs stay byte-identical to artifacts written before this section existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KernelSection {
-    /// Whether the SIMD quad kernel produced these numbers.
-    pub simd: bool,
-    /// Completed transient simulations the kernel integrated.
-    pub sims: u64,
-    /// Accepted integration steps.
-    pub steps: u64,
-    /// Step attempts rejected by the embedded error estimate.
-    pub rejected_steps: u64,
-    /// Transistor-model evaluations.
-    pub device_evals: u64,
-    /// SIMD quad step attempts (zero for the scalar kernel).
-    pub quad_rounds: u64,
-    /// Real lanes advanced by those quad attempts.
-    pub active_lane_rounds: u64,
-    /// Lanes submitted through batched dispatch.
-    pub lanes_dispatched: u64,
-    /// Lanes answered from the simulation cache without solving.
-    pub lanes_cached: u64,
-    /// Lanes claimed and solved in batched worklists.
-    pub lanes_claimed: u64,
-    /// Lanes deferred to the scalar path because their coordinate was in flight on
-    /// another worker.
-    pub lanes_deferred: u64,
-}
-
-impl KernelSection {
-    /// Accepted steps per completed simulation.
-    pub fn steps_per_sim(&self) -> f64 {
-        if self.sims == 0 {
-            0.0
-        } else {
-            self.steps as f64 / self.sims as f64
-        }
-    }
-
-    /// Transistor-model evaluations per completed simulation.
-    pub fn device_evals_per_sim(&self) -> f64 {
-        if self.sims == 0 {
-            0.0
-        } else {
-            self.device_evals as f64 / self.sims as f64
-        }
-    }
-
-    /// Fraction of SIMD quad slots occupied by real lanes, when the SIMD kernel ran.
-    pub fn quad_occupancy(&self) -> Option<f64> {
-        if self.quad_rounds == 0 {
-            None
-        } else {
-            Some(self.active_lane_rounds as f64 / (4 * self.quad_rounds) as f64)
-        }
-    }
-
-    /// Field-wise sum for shard merging (`simd` is OR-ed: any shard that ran the SIMD
-    /// kernel makes the merged run a SIMD run).
-    fn add(self, other: KernelSection) -> KernelSection {
-        KernelSection {
-            simd: self.simd || other.simd,
-            sims: self.sims + other.sims,
-            steps: self.steps + other.steps,
-            rejected_steps: self.rejected_steps + other.rejected_steps,
-            device_evals: self.device_evals + other.device_evals,
-            quad_rounds: self.quad_rounds + other.quad_rounds,
-            active_lane_rounds: self.active_lane_rounds + other.active_lane_rounds,
-            lanes_dispatched: self.lanes_dispatched + other.lanes_dispatched,
-            lanes_cached: self.lanes_cached + other.lanes_cached,
-            lanes_claimed: self.lanes_claimed + other.lanes_claimed,
-            lanes_deferred: self.lanes_deferred + other.lanes_deferred,
-        }
-    }
-}
-
 /// The farm resilience record of a run: fleet health and the degradation-ladder
 /// counters ([`slic_farm::FarmStats`] plus fleet shape, carried across the crate
 /// boundary as plain fields).
@@ -354,12 +276,12 @@ pub struct FarmSection {
 
 /// The complete, persistent record of one characterization run.
 ///
-/// `Serialize` is written by hand (everything else in this file derives it) for two
-/// reasons: the derived impl emits `"kernel": null` when the section is absent, and the
-/// `kernel` key must be *omitted* instead so that default (`kernel.simd = false`) runs
-/// produce artifacts byte-identical to those written before the section existed; and the
+/// `Serialize` is written by hand (everything else in this file derives it) because the
 /// `farm` section must never be written at all — farm and local artifacts are required
-/// to be byte-identical, so transport telemetry cannot enter the JSON.
+/// to be byte-identical, so transport telemetry cannot enter the JSON.  Kernel work
+/// counters are run telemetry for the same reason and live in the run summary and the
+/// ledger metrics only; artifacts written by older builds that carry a `kernel` key
+/// still load (the key is ignored).
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct RunArtifact {
     /// Artifact format version (bumped on breaking layout changes).
@@ -389,9 +311,6 @@ pub struct RunArtifact {
     /// Monte Carlo variation record, present exactly when the run was configured with
     /// variation (absent in nominal-only and pre-variation artifacts).
     pub variation: Option<VariationSection>,
-    /// Transient-kernel cost and dispatch record, present exactly when the run opted
-    /// into the SIMD kernel (absent in default-kernel and pre-SIMD artifacts).
-    pub kernel: Option<KernelSection>,
     /// Farm resilience record, attached in memory after a farm run for reporting.
     /// Never serialized (and therefore never reloaded): the artifact JSON of a farm run
     /// is byte-identical to a local run's.
@@ -403,7 +322,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 
 impl serde::Serialize for RunArtifact {
     fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
+        let entries = vec![
             ("schema_version".to_string(), self.schema_version.to_value()),
             ("library".to_string(), self.library.to_value()),
             ("technology".to_string(), self.technology.to_value()),
@@ -420,9 +339,6 @@ impl serde::Serialize for RunArtifact {
             ("cache_misses".to_string(), self.cache_misses.to_value()),
             ("variation".to_string(), self.variation.to_value()),
         ];
-        if let Some(kernel) = &self.kernel {
-            entries.push(("kernel".to_string(), kernel.to_value()));
-        }
         // `self.farm` is deliberately not written: see the struct docs.
         serde::Value::Object(entries)
     }
@@ -543,12 +459,6 @@ impl RunArtifact {
             )));
         }
         let variation = Self::merge_variation(shards)?;
-        // Kernel sections are cost accounting (like the cache totals), not ensemble
-        // identity: shards that ran without the SIMD kernel simply contribute nothing.
-        let kernel = shards
-            .iter()
-            .filter_map(|s| s.kernel)
-            .reduce(KernelSection::add);
         let characterized =
             CharacterizedLibrary::from_units(&first.library, &first.technology, &units);
         Ok(RunArtifact {
@@ -564,7 +474,6 @@ impl RunArtifact {
             cache_hits: shards.iter().map(|s| s.cache_hits).sum(),
             cache_misses: shards.iter().map(|s| s.cache_misses).sum(),
             variation,
-            kernel,
             // Transport telemetry never round-trips through shard files, so there is
             // nothing truthful to merge.
             farm: None,
@@ -706,9 +615,6 @@ impl RunArtifact {
             self.cache_hits,
             self.cache_misses,
         ));
-        if let Some(kernel) = &self.kernel {
-            out.push_str(&Self::kernel_markdown(kernel));
-        }
         if let Some(farm) = &self.farm {
             out.push_str(&Self::farm_markdown(farm));
         }
@@ -733,34 +639,6 @@ impl RunArtifact {
             "Resilience: {} failovers, {} reconnects, {} heartbeats missed, {} jobs \
              degraded to local solving.\n",
             farm.failovers, farm.reconnects, farm.heartbeats_missed, farm.degraded_jobs,
-        ));
-        out
-    }
-
-    /// Renders the transient-kernel cost and dispatch record of a SIMD run.
-    fn kernel_markdown(kernel: &KernelSection) -> String {
-        let mut out = format!(
-            "\n## Transient kernel ({})\n\n",
-            if kernel.simd { "SIMD quads" } else { "scalar" }
-        );
-        out.push_str(&format!(
-            "{} sims: {:.1} steps/sim, {:.1} device evals/sim, {} rejected steps",
-            kernel.sims,
-            kernel.steps_per_sim(),
-            kernel.device_evals_per_sim(),
-            kernel.rejected_steps,
-        ));
-        if let Some(occupancy) = kernel.quad_occupancy() {
-            out.push_str(&format!(", {:.0}% quad occupancy", occupancy * 100.0));
-        }
-        out.push_str(".\n");
-        out.push_str(&format!(
-            "Batched dispatch: {} lanes ({} solved, {} cache hits, {} deferred to the \
-             scalar path).\n",
-            kernel.lanes_dispatched,
-            kernel.lanes_claimed,
-            kernel.lanes_cached,
-            kernel.lanes_deferred,
         ));
         out
     }
@@ -853,7 +731,7 @@ mod tests {
     use super::*;
 
     /// A structurally minimal artifact: zero planned units, so it also merges cleanly.
-    fn empty_artifact(kernel: Option<KernelSection>) -> RunArtifact {
+    fn empty_artifact() -> RunArtifact {
         RunArtifact {
             schema_version: SCHEMA_VERSION,
             library: "mini".to_string(),
@@ -867,7 +745,6 @@ mod tests {
             cache_hits: 0,
             cache_misses: 0,
             variation: None,
-            kernel,
             farm: None,
         }
     }
@@ -886,92 +763,38 @@ mod tests {
         }
     }
 
-    fn simd_section() -> KernelSection {
-        KernelSection {
-            simd: true,
-            sims: 100,
-            steps: 5_000,
-            rejected_steps: 40,
-            device_evals: 60_000,
-            quad_rounds: 1_500,
-            active_lane_rounds: 5_100,
-            lanes_dispatched: 100,
-            lanes_cached: 10,
-            lanes_claimed: 88,
-            lanes_deferred: 2,
-        }
-    }
-
     #[test]
     fn a_default_run_artifact_has_no_kernel_key_at_all() {
-        // The acceptance contract of the SIMD work: with `kernel.simd = false` (the
-        // default) artifacts must stay byte-identical to pre-SIMD artifacts, which means
-        // the key must be *absent*, not `"kernel": null`.
-        let json = empty_artifact(None).to_json().expect("serializes");
+        // Kernel counters are run telemetry, never artifact content.  An artifact written
+        // by an earlier `--simd` run carries a `kernel` key: it still loads and reports,
+        // and the key is dropped on the next save.
+        let json = empty_artifact().to_json().expect("serializes");
         assert!(
             !json.contains("kernel"),
             "kernel key must be omitted:\n{json}"
         );
-        let back = RunArtifact::from_json(&json).expect("parses");
-        assert_eq!(back.kernel, None);
-    }
-
-    #[test]
-    fn a_simd_run_artifact_round_trips_its_kernel_section() {
-        let artifact = empty_artifact(Some(simd_section()));
-        let json = artifact.to_json().expect("serializes");
-        assert!(
-            json.contains("\"kernel\""),
-            "kernel section missing:\n{json}"
+        let end = json.rfind('}').expect("an object");
+        let legacy = format!(
+            "{},\n  \"kernel\": {{\"simd\": true, \"sims\": 100, \"quad_rounds\": 1500}}\n}}",
+            json[..end].trim_end()
         );
-        let back = RunArtifact::from_json(&json).expect("parses");
-        assert_eq!(back, artifact);
-        let kernel = back.kernel.expect("kernel present");
-        assert_eq!(
-            kernel.lanes_dispatched,
-            kernel.lanes_cached + kernel.lanes_claimed + kernel.lanes_deferred,
-            "every dispatched lane is accounted for exactly once"
-        );
-        assert!((kernel.quad_occupancy().unwrap() - 0.85).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merging_shards_sums_kernel_sections_and_tolerates_their_absence() {
-        let a = empty_artifact(Some(simd_section()));
-        let b = empty_artifact(Some(simd_section()));
-        let scalar = empty_artifact(None);
-
-        let merged = RunArtifact::merge(&[a.clone(), b, scalar.clone()]).expect("merges");
-        let kernel = merged.kernel.expect("kernel survives the merge");
-        assert!(kernel.simd);
-        assert_eq!(kernel.sims, 200);
-        assert_eq!(kernel.device_evals, 120_000);
-        assert_eq!(kernel.lanes_dispatched, 200);
-        assert_eq!(kernel.lanes_deferred, 4);
-
-        // All-scalar shards merge to an artifact without the section.
-        let merged = RunArtifact::merge(&[scalar.clone(), scalar]).expect("merges");
-        assert_eq!(merged.kernel, None);
-    }
-
-    #[test]
-    fn summary_markdown_renders_the_kernel_block_only_for_simd_runs() {
-        let plain = empty_artifact(None).summary_markdown();
-        assert!(!plain.contains("Transient kernel"));
-
-        let simd = empty_artifact(Some(simd_section())).summary_markdown();
-        assert!(simd.contains("## Transient kernel (SIMD quads)"), "{simd}");
-        assert!(simd.contains("quad occupancy"), "{simd}");
-        assert!(simd.contains("Batched dispatch: 100 lanes"), "{simd}");
+        for input in [&json, &legacy] {
+            let back = RunArtifact::from_json(input).expect("parses");
+            assert_eq!(back, empty_artifact());
+            assert_eq!(back.to_json().expect("serializes"), json);
+            assert!(back
+                .summary_markdown()
+                .contains("transient simulations paid"));
+        }
     }
 
     #[test]
     fn the_farm_section_is_never_serialized_so_farm_and_local_artifacts_match() {
         // The byte-identity contract of the whole farm: attaching transport telemetry to
         // the in-memory artifact must not change one byte of the JSON.
-        let mut farmed = empty_artifact(None);
+        let mut farmed = empty_artifact();
         farmed.farm = Some(farm_section());
-        let local = empty_artifact(None);
+        let local = empty_artifact();
         assert_eq!(
             farmed.to_json().expect("serializes"),
             local.to_json().expect("serializes"),
@@ -984,10 +807,10 @@ mod tests {
 
     #[test]
     fn summary_markdown_renders_the_farm_block_only_for_farm_runs() {
-        let plain = empty_artifact(None).summary_markdown();
+        let plain = empty_artifact().summary_markdown();
         assert!(!plain.contains("Simulation farm"));
 
-        let mut farmed = empty_artifact(None);
+        let mut farmed = empty_artifact();
         farmed.farm = Some(farm_section());
         let summary = farmed.summary_markdown();
         assert!(

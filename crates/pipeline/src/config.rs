@@ -149,9 +149,6 @@ pub struct RunConfig {
     /// Monte Carlo variation knobs.  The presence of this section (or the `--variation`
     /// CLI flag) enables variation work units; unset fields take profile defaults.
     pub variation: Option<VariationKnobs>,
-    /// Transient-kernel knobs.  In flat TOML these are the dotted `kernel.*` keys
-    /// (`kernel.simd = true`).
-    pub kernel: Option<KernelKnobs>,
     /// Farm resilience knobs.  In flat TOML these are the dotted `farm.*` keys
     /// (`farm.retry_budget = 3`).  Only meaningful with the farm backend.
     pub farm: Option<FarmKnobs>,
@@ -170,16 +167,6 @@ pub struct VariationKnobs {
     pub process_seeds: Option<usize>,
     /// Sigma multipliers for corner reporting; default `[1.0, 3.0]`.
     pub sigma_corners: Option<Vec<f64>>,
-}
-
-/// User-facing transient-kernel knobs, every field optional.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct KernelKnobs {
-    /// Route batched lanes through the SIMD quad kernel (default `false`).  Off, runs
-    /// are bitwise identical to the scalar batched kernel; on, delays may differ from
-    /// the scalar path by up to the CI-gated 0.5% accuracy envelope in exchange for the
-    /// benched speedup.
-    pub simd: Option<bool>,
 }
 
 /// User-facing observability knobs, every field optional.  In flat TOML these are the
@@ -304,16 +291,12 @@ const KNOWN_CONFIG_KEYS: &[&str] = &[
     "workers",
     "spawn_workers",
     "variation",
-    "kernel",
     "farm",
     "observability",
 ];
 
 /// Every key of the nested `variation` section.
 const KNOWN_VARIATION_KEYS: &[&str] = &["process_seeds", "sigma_corners"];
-
-/// Every key of the nested `kernel` section.
-const KNOWN_KERNEL_KEYS: &[&str] = &["simd"];
 
 /// Every key of the nested `observability` section.
 const KNOWN_OBSERVABILITY_KEYS: &[&str] = &["trace", "ledger", "progress", "diff"];
@@ -331,7 +314,7 @@ const KNOWN_FARM_KEYS: &[&str] = &[
     "heartbeat_timeout_ms",
 ];
 
-/// Rejects unknown top-level, `variation.*` and `kernel.*` keys with a pointed error.
+/// Rejects unknown top-level and nested-section keys with a pointed error.
 fn check_config_keys(value: &serde::Value) -> Result<(), PipelineError> {
     let Some(entries) = value.as_object() else {
         return Ok(()); // A non-object config fails shape-checking with its own error.
@@ -351,7 +334,6 @@ fn check_config_keys(value: &serde::Value) -> Result<(), PipelineError> {
         }
         let nested = match key.as_str() {
             "variation" => Some(("variation", KNOWN_VARIATION_KEYS)),
-            "kernel" => Some(("kernel", KNOWN_KERNEL_KEYS)),
             "farm" => Some(("farm", KNOWN_FARM_KEYS)),
             "observability" => Some(("observability", KNOWN_OBSERVABILITY_KEYS)),
             _ => None,
@@ -593,14 +575,6 @@ impl RunConfig {
             ));
         }
 
-        let simd = self.kernel.as_ref().and_then(|k| k.simd).unwrap_or(false);
-        if simd && !matches!(backend, BackendChoice::Local) {
-            return Err(PipelineError::config(
-                "`kernel.simd` applies to the local backend only; farm workers run \
-                 their own kernels — drop `kernel.simd` or the farm configuration",
-            ));
-        }
-
         let variation = match &self.variation {
             None => None,
             Some(knobs) => {
@@ -643,7 +617,6 @@ impl RunConfig {
             cache_path: self.cache.clone().map(std::path::PathBuf::from),
             backend,
             variation,
-            simd,
             trace_path: self
                 .observability
                 .as_ref()
@@ -704,10 +677,6 @@ pub struct ResolvedConfig {
     /// part of this configuration, so equal resolved configs on any shard draw identical
     /// process samples.
     pub variation: Option<VariationConfig>,
-    /// Whether the local backend routes batched lanes through the SIMD quad kernel.
-    /// Deliberately *not* part of [`TransientConfig`]: it changes how lanes execute, not
-    /// what a simulation means, so cache keys and farm wire hashes must not move with it.
-    pub simd: bool,
     /// Sidecar JSON-lines trace file, when tracing is enabled.  Display-only: whether a
     /// run is traced never changes an artifact byte (CI `cmp`-gates this).
     pub trace_path: Option<std::path::PathBuf>,
@@ -724,7 +693,7 @@ pub struct ResolvedConfig {
 impl ResolvedConfig {
     /// The run's configuration identity: a 16-hex-digit hash over everything that
     /// determines *what* is computed — cells, technology nodes, profile, metrics,
-    /// methods, budgets, seed, variation workload, kernel routing.
+    /// methods, budgets, seed, variation workload.
     ///
     /// Execution placement is deliberately excluded (backend, worker lists, cache /
     /// trace / ledger paths, farm tuning): artifacts are byte-identical across
@@ -743,14 +712,13 @@ impl ResolvedConfig {
         }
         let _ = write!(
             identity,
-            "profile={};metrics={:?};methods={:?};training={};validation={};seed={};simd={};",
+            "profile={};metrics={:?};methods={:?};training={};validation={};seed={};",
             self.profile.name(),
             self.metrics,
             self.methods,
             self.training_count,
             self.validation_points,
             self.seed,
-            self.simd,
         );
         if let Some(variation) = &self.variation {
             let _ = write!(
@@ -1036,52 +1004,22 @@ mod tests {
     }
 
     #[test]
-    fn kernel_config_parses_from_json_and_dotted_toml() {
-        let json = r#"{"kernel": {"simd": true}}"#;
-        let toml_text = "kernel.simd = true";
-        let a = RunConfig::from_json(json).unwrap();
-        let b = RunConfig::from_toml(toml_text).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.kernel, Some(KernelKnobs { simd: Some(true) }));
-        assert!(a.resolve().unwrap().simd);
-        // Absent section (or absent flag) resolves to the scalar default.
-        assert!(!RunConfig::default().resolve().unwrap().simd);
-        let off = RunConfig::from_toml("kernel.simd = false").unwrap();
-        assert!(!off.resolve().unwrap().simd);
-        // And the section round-trips through JSON.
-        let text = serde_json::to_string(&a).unwrap();
-        assert_eq!(RunConfig::from_json(&text).unwrap(), a);
-    }
-
-    #[test]
     fn unknown_kernel_keys_are_rejected_not_ignored() {
-        let err = RunConfig::from_toml("kernel.simds = true").unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("unknown config key `kernel.simds`"),
-            "{err}"
-        );
-        assert!(err.to_string().contains("kernel.simd"), "{err}");
-        let err = RunConfig::from_json(r#"{"kernel": {"vectorize": true}}"#).unwrap_err();
-        assert!(err.to_string().contains("`kernel.vectorize`"), "{err}");
-    }
-
-    #[test]
-    fn simd_with_the_farm_backend_is_rejected() {
-        let bad = RunConfig {
-            kernel: Some(KernelKnobs { simd: Some(true) }),
-            spawn_workers: Some(2),
-            ..Default::default()
-        };
-        let err = bad.resolve().unwrap_err().to_string();
-        assert!(err.contains("local backend only"), "{err}");
-        // simd = false alongside the farm is fine: nothing was requested.
-        let ok = RunConfig {
-            kernel: Some(KernelKnobs { simd: Some(false) }),
-            spawn_workers: Some(2),
-            ..Default::default()
-        };
-        assert!(!ok.resolve().unwrap().simd);
+        // The transient kernel has no knobs: the former SIMD switch and any other
+        // `kernel.*` key fail through the ordinary unknown-key error, in TOML and JSON.
+        for key in ["simd", "simds", "vectorize"] {
+            for value in ["true", "false"] {
+                let toml_text = format!("kernel.{key} = {value}");
+                let json = format!(r#"{{"kernel": {{"{key}": {value}}}}}"#);
+                for err in [
+                    RunConfig::from_toml(&toml_text).unwrap_err(),
+                    RunConfig::from_json(&json).unwrap_err(),
+                ] {
+                    let err = err.to_string();
+                    assert!(err.contains("unknown config key `kernel`"), "{err}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! with rayon; results streamed into a [`RunArtifact`].
 
 use crate::artifact::{
-    CharacterizedLibrary, KernelSection, RunArtifact, UnitResult, VariationSection, SCHEMA_VERSION,
+    CharacterizedLibrary, RunArtifact, UnitResult, VariationSection, SCHEMA_VERSION,
 };
 use crate::config::ResolvedConfig;
 use crate::error::PipelineError;
@@ -121,10 +121,6 @@ impl PipelineRunner {
                 .with_cache(cache.clone());
         if let Some(backend) = backend {
             engine = engine.with_backend(backend);
-        } else if config.simd {
-            // resolve() only sets `simd` with the local backend, so a backend instance
-            // and the SIMD flag are mutually exclusive here.
-            engine = engine.with_backend(Arc::new(slic_spice::LocalBackend::with_simd(true)));
         }
         Ok(Self {
             config,
@@ -276,28 +272,6 @@ impl PipelineRunner {
             self.config.technology.name(),
             &units,
         );
-        // The kernel section is recorded only for SIMD runs: default runs must keep
-        // producing artifacts byte-identical to those written before the section existed.
-        let kernel = if self.config.simd {
-            self.engine.backend().kernel_stats().map(|stats| {
-                let dispatch = self.engine.dispatch_stats();
-                KernelSection {
-                    simd: stats.simd,
-                    sims: stats.sims,
-                    steps: stats.steps,
-                    rejected_steps: stats.rejected_steps,
-                    device_evals: stats.device_evals,
-                    quad_rounds: stats.quad_rounds,
-                    active_lane_rounds: stats.active_lane_rounds,
-                    lanes_dispatched: dispatch.lanes_dispatched,
-                    lanes_cached: dispatch.lanes_cached,
-                    lanes_claimed: dispatch.lanes_claimed,
-                    lanes_deferred: dispatch.lanes_deferred,
-                }
-            })
-        } else {
-            None
-        };
         Ok(RunArtifact {
             schema_version: SCHEMA_VERSION,
             library: self.config.library_name.clone(),
@@ -311,7 +285,6 @@ impl PipelineRunner {
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             variation,
-            kernel,
             // Attached by the caller (the CLI) after the run when the backend is a farm;
             // this crate cannot see through the `dyn SimulationBackend` it was handed.
             farm: None,

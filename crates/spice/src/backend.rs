@@ -6,7 +6,7 @@
 //! [`SimRequest`]s, return one [`SimResult`] per lane.  Splitting the two turns "where do
 //! simulations run" into a deployment choice:
 //!
-//! * [`LocalBackend`] — the in-process batched kernel ([`crate::batch`]), the default and
+//! * [`LocalBackend`] — the in-process SIMD quad kernel ([`crate::simd`]), the default and
 //!   the reference implementation every other backend must match bitwise;
 //! * `FarmBackend` (in the `slic-farm` crate) — fans batches out to remote worker
 //!   processes over a JSON-lines wire protocol, with failover back to a [`LocalBackend`].
@@ -17,10 +17,9 @@
 //! and the measurements themselves are bitwise identical as long as the backend runs the
 //! same kernel (which the wire protocol's kernel-version handshake enforces).
 
-use crate::batch::integrate_batch;
 use crate::input::InputPoint;
 use crate::measure::TimingMeasurement;
-use crate::simd::integrate_batch_simd;
+use crate::simd::integrate_quads;
 use crate::transient::{TransientConfig, TransientProblem};
 use slic_cells::{Cell, EquivalentInverter, TimingArc};
 use slic_device::{ProcessSample, TechnologyNode};
@@ -76,15 +75,16 @@ pub trait SimulationBackend: Send + Sync {
     }
 }
 
-/// Aggregate kernel work counters of a backend, for the post-run summary: how many
-/// simulations the kernel integrated and how much work each cost on average.
+/// Aggregate kernel work counters, of one quad-kernel batch or of everything a backend
+/// has solved: how many simulations the kernel integrated, how much work each cost on
+/// average, and how full its quads ran.  Run telemetry for the post-run summary and the
+/// ledger metrics — never part of an artifact, since quad counts depend on how lanes
+/// were grouped.
 ///
 /// Lanes that fail to complete their transition surface as lane errors before their
 /// counters are folded in, so the aggregates cover completed simulations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStatsSnapshot {
-    /// Whether the SIMD quad kernel produced these numbers.
-    pub simd: bool,
     /// Completed simulations.
     pub sims: u64,
     /// Accepted integration steps.
@@ -93,7 +93,7 @@ pub struct KernelStatsSnapshot {
     pub rejected_steps: u64,
     /// Transistor-model evaluations.
     pub device_evals: u64,
-    /// SIMD quad step attempts (zero for the scalar kernel).
+    /// Quad step attempts (each evaluates four lanes of stage derivatives).
     pub quad_rounds: u64,
     /// Real lanes advanced by those quad attempts.
     pub active_lane_rounds: u64,
@@ -118,7 +118,9 @@ impl KernelStatsSnapshot {
         }
     }
 
-    /// Fraction of SIMD quad slots occupied by real lanes, when the SIMD kernel ran.
+    /// Fraction of quad slots occupied by real unretired lanes, in `[0, 1]`; `None` when
+    /// no quad ran.  Lower values mean padded partial quads (small or nearly-drained
+    /// batches).
     pub fn quad_occupancy(&self) -> Option<f64> {
         if self.quad_rounds == 0 {
             None
@@ -140,66 +142,60 @@ struct KernelStatsCell {
     active_lane_rounds: AtomicU64,
 }
 
-/// The in-process backend: the batched Bogacki–Shampine kernel of [`crate::batch`], or —
-/// when constructed with [`LocalBackend::with_simd`] — the SIMD quad worklist of
-/// [`crate::simd`].
+impl KernelStatsCell {
+    fn add(&self, batch: &KernelStatsSnapshot) {
+        self.sims.fetch_add(batch.sims, Ordering::Relaxed);
+        self.steps.fetch_add(batch.steps, Ordering::Relaxed);
+        self.rejected_steps
+            .fetch_add(batch.rejected_steps, Ordering::Relaxed);
+        self.device_evals
+            .fetch_add(batch.device_evals, Ordering::Relaxed);
+        self.quad_rounds
+            .fetch_add(batch.quad_rounds, Ordering::Relaxed);
+        self.active_lane_rounds
+            .fetch_add(batch.active_lane_rounds, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> KernelStatsSnapshot {
+        KernelStatsSnapshot {
+            sims: self.sims.load(Ordering::Relaxed),
+            steps: self.steps.load(Ordering::Relaxed),
+            rejected_steps: self.rejected_steps.load(Ordering::Relaxed),
+            device_evals: self.device_evals.load(Ordering::Relaxed),
+            quad_rounds: self.quad_rounds.load(Ordering::Relaxed),
+            active_lane_rounds: self.active_lane_rounds.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// The in-process backend: the SIMD quad worklist of [`crate::simd`].
 ///
 /// The equivalent inverter is rebuilt only when the `(tech, cell, seed)` triple changes
 /// between consecutive lanes (sweeps share one seed across every lane), mirroring what the
-/// engine did before the backend boundary existed — so measurements are bitwise identical
-/// to every artifact produced since.  Clones share one kernel-stats accumulator, so
-/// engines fanning batches out across threads still aggregate into one snapshot.
+/// engine did before the backend boundary existed.  Each lane's measurement depends only
+/// on its own request, never on what shares its batch or quad.  Clones share one
+/// kernel-stats accumulator, so engines fanning batches out across threads still
+/// aggregate into one snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct LocalBackend {
-    simd: bool,
     stats: Arc<KernelStatsCell>,
 }
 
 impl LocalBackend {
-    /// Creates the in-process backend running the scalar batched kernel (the bitwise
-    /// reference every other backend must match).
+    /// Creates the in-process backend (the bitwise reference every other backend must
+    /// match).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates the in-process backend with the SIMD quad kernel enabled or disabled.
-    ///
-    /// With `simd = true` the backend's measurements carry the SIMD accuracy contract
-    /// (≤0.5 % of golden) instead of the scalar path's bitwise guarantee; the flag is
-    /// deliberately *not* part of [`TransientConfig`] so enabling it cannot move any
-    /// simulation cache key.
-    pub fn with_simd(simd: bool) -> Self {
-        Self {
-            simd,
-            stats: Arc::default(),
-        }
-    }
-
-    /// Whether this backend runs the SIMD quad kernel.
-    pub fn simd_enabled(&self) -> bool {
-        self.simd
     }
 }
 
 impl SimulationBackend for LocalBackend {
     fn name(&self) -> &str {
-        if self.simd {
-            "local-simd"
-        } else {
-            "local"
-        }
+        "local"
     }
 
     fn kernel_stats(&self) -> Option<KernelStatsSnapshot> {
-        Some(KernelStatsSnapshot {
-            simd: self.simd,
-            sims: self.stats.sims.load(Ordering::Relaxed),
-            steps: self.stats.steps.load(Ordering::Relaxed),
-            rejected_steps: self.stats.rejected_steps.load(Ordering::Relaxed),
-            device_evals: self.stats.device_evals.load(Ordering::Relaxed),
-            quad_rounds: self.stats.quad_rounds.load(Ordering::Relaxed),
-            active_lane_rounds: self.stats.active_lane_rounds.load(Ordering::Relaxed),
-        })
+        Some(self.stats.snapshot())
     }
 
     fn solve_batch(&self, requests: &[SimRequest]) -> Vec<SimResult> {
@@ -230,40 +226,11 @@ impl SimulationBackend for LocalBackend {
             problems.push(TransientProblem::new(eq, &req.arc, &req.point, &req.config));
             lanes.push(i);
         }
-        let lane_results = if self.simd {
-            let (lane_results, simd_stats) = integrate_batch_simd(&problems);
-            self.stats
-                .quad_rounds
-                .fetch_add(simd_stats.quad_rounds, Ordering::Relaxed);
-            self.stats
-                .active_lane_rounds
-                .fetch_add(simd_stats.active_lane_rounds, Ordering::Relaxed);
-            lane_results
-        } else {
-            integrate_batch(&problems)
-        };
-        let mut batch_stats = crate::transient::TransientStats::default();
-        let mut completed = 0u64;
+        let (lane_results, batch_stats) = integrate_quads(&problems);
+        self.stats.add(&batch_stats);
         for (result, i) in lane_results.into_iter().zip(lanes) {
-            results[i] = Some(match result {
-                Ok((m, stats)) => {
-                    batch_stats.merge(&stats);
-                    completed += 1;
-                    Ok(m)
-                }
-                Err(err) => Err(err.to_string()),
-            });
+            results[i] = Some(result.map(|(m, _)| m).map_err(|err| err.to_string()));
         }
-        self.stats.sims.fetch_add(completed, Ordering::Relaxed);
-        self.stats
-            .steps
-            .fetch_add(batch_stats.steps, Ordering::Relaxed);
-        self.stats
-            .rejected_steps
-            .fetch_add(batch_stats.rejected_steps, Ordering::Relaxed);
-        self.stats
-            .device_evals
-            .fetch_add(batch_stats.device_evals, Ordering::Relaxed);
         results
             .into_iter()
             // slic-lint: allow(P1) -- structural: every lane index is pushed into `lanes` and filled from `lane_results` above.
@@ -275,7 +242,7 @@ impl SimulationBackend for LocalBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transient::simulate_switching;
+    use crate::simd::simulate_switching_batch;
     use slic_cells::{CellKind, DriveStrength, Transition};
     use slic_units::{Farads, Seconds, Volts};
 
@@ -296,16 +263,23 @@ mod tests {
     }
 
     #[test]
-    fn local_backend_matches_the_scalar_solver_bitwise() {
+    fn local_backend_matches_the_quad_kernel_bitwise() {
         let backend = LocalBackend::new();
         let requests = vec![request(2.0, 0.8), request(5.0, 0.9), request(9.0, 0.7)];
         let results = backend.solve_batch(&requests);
         for (req, result) in requests.iter().zip(&results) {
             let eq = EquivalentInverter::build(&req.tech, req.cell, &req.seed);
-            let scalar = simulate_switching(&eq, &req.arc, &req.point, &req.config)
-                .expect("scalar solve succeeds");
-            assert_eq!(result.as_ref().ok(), Some(&scalar));
+            let alone = simulate_switching_batch(&[eq], &req.arc, &req.point, &req.config)
+                .expect("valid config")
+                .remove(0)
+                .expect("lane solve succeeds");
+            assert_eq!(result.as_ref().ok(), Some(&alone));
         }
+        let stats = backend
+            .kernel_stats()
+            .expect("the local kernel is instrumented");
+        assert_eq!(stats.sims, 3);
+        assert!(stats.quad_occupancy().is_some_and(|o| o > 0.5));
     }
 
     #[test]

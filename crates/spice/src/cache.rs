@@ -42,8 +42,11 @@ use std::sync::Mutex;
 ///
 /// History: **1** — the seed's slope-probe RK4 kernel (records written before the field
 /// existed deserialize as this version); **2** — the Bogacki–Shampine 3(2) embedded pair
-/// over compiled device models.
-pub const KERNEL_VERSION: u64 = 2;
+/// over compiled device models, scalar libm transcendentals (an opt-in SIMD mode wrote
+/// records under this same stamp, so a version-2 log can mix both kernels); **3** — the
+/// SIMD quad kernel as the only production kernel.  Version-2 records answer no
+/// version-3 lookup and are evicted by `slic cache compact --drop-legacy`.
+pub const KERNEL_VERSION: u64 = 3;
 
 /// The version that keys cache records written before the kernel field existed.
 const LEGACY_KERNEL_VERSION: u64 = 1;

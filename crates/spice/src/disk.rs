@@ -803,8 +803,9 @@ mod tests {
             // A benign duplicate so plain dedup drops something too.
             cache.store(key(5.0, 2.0), measurement(13.0));
         }
-        // Two records written by the pre-upgrade kernel: strip the kernel field, exactly
-        // as a log line from before the field existed would look.
+        // Records written by older kernels: two with the kernel field stripped, exactly as
+        // a log line from before the field existed would look, and one stamped with
+        // version 2 — the last kernel before the quad kernel became the only one.
         {
             use std::io::Write as _;
             let mut file = std::fs::OpenOptions::new()
@@ -812,7 +813,11 @@ mod tests {
                 .open(&path)
                 .unwrap();
             let kernel_field = format!("\"kernel\":\"{KERNEL_VERSION:x}\",");
-            for (k, m) in [(7.0, 21.0), (8.0, 22.0)] {
+            for (k, m, stamp) in [
+                (7.0, 21.0, ""),
+                (8.0, 22.0, ""),
+                (9.0, 23.0, "\"kernel\":\"2\","),
+            ] {
                 let line = serde_json::to_string(&DiskRecord {
                     key: key(k, 1.0),
                     measurement: measurement(m),
@@ -822,15 +827,21 @@ mod tests {
                     line.contains(&kernel_field),
                     "current keys persist a version"
                 );
-                writeln!(file, "{}", line.replace(&kernel_field, "")).unwrap();
+                writeln!(file, "{}", line.replace(&kernel_field, stamp)).unwrap();
             }
         }
+        // Loaded, but no older-kernel record answers a current-kernel lookup.
+        let loaded = DiskSimCache::open(&path).expect("mixed-kernel log loads");
+        for k in [7.0, 8.0, 9.0] {
+            assert_eq!(loaded.lookup(&key(k, 1.0)), None, "kernel mixing at {k}");
+        }
+        drop(loaded);
         // A plain compaction keeps the legacy records (old binaries can still load them).
         let plain = DiskSimCache::compact(&path).expect("compacts");
         assert_eq!(
             plain,
             CompactionReport {
-                kept: 4,
+                kept: 5,
                 dropped: 1,
                 dropped_legacy: 0,
                 quarantined: 0
@@ -851,7 +862,7 @@ mod tests {
             CompactionReport {
                 kept: 2,
                 dropped: 0,
-                dropped_legacy: 2,
+                dropped_legacy: 3,
                 quarantined: 0
             }
         );

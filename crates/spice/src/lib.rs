@@ -12,10 +12,11 @@
 //! * [`input`] — the library input space `ξ = (Sin, Cload, Vdd)`: the [`InputPoint`] type,
 //!   the [`InputSpace`] box and its sampling plans (uniform, Latin hypercube, LUT grid);
 //! * [`measure`] — waveform threshold definitions and the [`TimingMeasurement`] result;
-//! * [`transient`] — the adaptive-step transient solver for a single switching event
-//!   (embedded-error Bogacki–Shampine kernel, plus the seed RK4 kept as golden reference);
-//! * [`batch`] — the batched Monte Carlo kernel: many lanes integrated through one
-//!   worklist, each bitwise identical to its scalar counterpart;
+//! * [`transient`] — the adaptive-step Bogacki–Shampine integrator of one switching event:
+//!   per-lane state and step control, plus the scalar embedded-pair kernel and the seed
+//!   RK4, both kept as test and bench oracles;
+//! * [`simd`] — the production kernel: lanes integrated four at a time through a SIMD
+//!   quad worklist, each lane's result independent of how lanes were grouped;
 //! * [`backend`] — the [`SimulationBackend`] boundary: where a batch of solves actually
 //!   executes ([`LocalBackend`] in-process; the `slic-farm` crate adds remote workers);
 //! * [`engine`] — the "simulator front-end": a [`CharacterizationEngine`] bound to one
@@ -46,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod batch;
 pub mod cache;
 pub mod disk;
 pub mod engine;
@@ -56,9 +56,6 @@ pub mod simd;
 pub mod transient;
 
 pub use backend::{KernelStatsSnapshot, LocalBackend, SimRequest, SimResult, SimulationBackend};
-pub use batch::{
-    simulate_switching_batch, simulate_switching_batch_with_stats, simulate_switching_sweep_batch,
-};
 pub use cache::{CacheError, InMemorySimCache, SimKey, SimulationCache, KERNEL_VERSION};
 pub use disk::{CompactionOptions, CompactionReport, DiskSimCache};
 pub use engine::{
@@ -67,8 +64,8 @@ pub use engine::{
 pub use input::{InputPoint, InputSpace};
 pub use measure::TimingMeasurement;
 pub use simd::{
-    simulate_switching_batch_simd, simulate_switching_batch_simd_with_stats,
-    simulate_switching_simd_with_stats, SimdBatchStats,
+    simulate_switching_batch, simulate_switching_batch_with_stats,
+    simulate_switching_mixed_batch_with_stats, simulate_switching_sweep_batch,
 };
 pub use transient::{
     simulate_switching, simulate_switching_rk4, simulate_switching_rk4_with_stats,

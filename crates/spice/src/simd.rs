@@ -1,11 +1,11 @@
-//! SIMD quad worklist: four transient lanes per step attempt through the vector kernel.
+//! The transient kernel: a SIMD quad worklist, four lanes per step attempt.
 //!
-//! The batched kernel in [`batch`](crate::batch) advances lanes one at a time, so every
-//! derivative evaluation pays scalar libm transcendentals.  This module packs lanes into
-//! **quads** and evaluates all four lanes' Bogacki–Shampine stages through the
-//! [`CompiledInverterX4`] vector model, whose transcendentals are the fixed-polynomial
-//! kernels of `slic_device::vmath` — arithmetic the autovectorizer keeps in vector
-//! registers.
+//! Every production transient solve runs here — [`LocalBackend`](crate::LocalBackend),
+//! and therefore farm workers and the farm broker's local fallback, hand their batches to
+//! [`integrate_quads`].  Lanes are packed into **quads** and all four lanes'
+//! Bogacki–Shampine stages are evaluated through the [`CompiledInverterX4`] vector model,
+//! whose transcendentals are the fixed-polynomial kernels of `slic_device::vmath` —
+//! arithmetic the autovectorizer keeps in vector registers.
 //!
 //! Quad membership is fixed once per batch — lanes are chunked in input order, the last
 //! (partial) quad padded by repeating its final lane — so the per-quad constant packing
@@ -16,19 +16,22 @@
 //! their quad slot but are masked out of the write-back, and a quad leaves the worklist
 //! when its last real lane retires.  The quad-occupancy statistic reports how many slots
 //! carried real unretired lanes.  Accept/reject, the PI controller, crossing recording
-//! and retirement run through the same [`LaneState::finish_attempt`] the scalar kernel
-//! uses, so the two modes differ *only* in how the stage derivatives are computed.
+//! and retirement run through the same [`LaneState::finish_attempt`] the scalar
+//! embedded-pair kernel uses, so the two differ *only* in how the stage derivatives are
+//! computed.
 //!
 //! **Accuracy contract.**  Every vector-math kernel is element-wise (lane `i` of a result
-//! depends only on lane `i` of the inputs), so a lane's trajectory is independent of quad
-//! composition, batch size and retirement order — the SIMD result for a problem is a
-//! deterministic function of that problem alone.  It is *not* bitwise identical to the
-//! scalar libm kernel: the polynomial transcendentals differ from libm by ~1e-12 relative.
-//! That is why the mode is opt-in (`kernel.simd = true`) and carried by a CI-gated ≤0.5 %
-//! accuracy bound against the golden reference instead of the scalar path's bitwise
-//! batch≡scalar guarantee.
+//! depends only on lane `i` of the inputs), so a lane's trajectory — its measurement and
+//! its [`TransientStats`] — is independent of quad composition, slot position, batch size
+//! and retirement order: the result for a problem is a deterministic function of that
+//! problem alone (`tests/simd_parity.rs` asserts this bit for bit).  That is what keeps
+//! shard/merge, farm/local, traced/untraced and warm/cold artifacts byte-identical.  The
+//! polynomial transcendentals differ from libm by ~1e-12 relative, so the kernel is not
+//! bitwise identical to the scalar embedded-pair oracle
+//! ([`simulate_switching`](crate::transient::simulate_switching)); it is held to the
+//! CI-gated 0.5 % envelope against the RK4 golden reference instead.
 
-use crate::batch::LaneResult;
+use crate::backend::KernelStatsSnapshot;
 use crate::input::InputPoint;
 use crate::measure::TimingMeasurement;
 use crate::transient::{
@@ -38,31 +41,9 @@ use slic_cells::{EquivalentInverter, TimingArc};
 use slic_device::vmath::F64x4;
 use slic_device::{drain_current4_batch, CompiledDeviceX4, CompiledInverterX4, SweepScratch};
 
-/// Work counters of one SIMD batch integration, for the quad-occupancy diagnostic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimdBatchStats {
-    /// Quad step attempts executed (each evaluates four lanes of stage derivatives).
-    pub quad_rounds: u64,
-    /// Real (non-padding) lanes those quad attempts advanced.
-    pub active_lane_rounds: u64,
-}
-
-impl SimdBatchStats {
-    /// Fraction of quad slots occupied by real lanes, in `[0, 1]`: `1.0` means every quad
-    /// was full; lower values mean padded partial quads (small or nearly-drained batches).
-    pub fn occupancy(&self) -> f64 {
-        if self.quad_rounds == 0 {
-            return 1.0;
-        }
-        self.active_lane_rounds as f64 / (4 * self.quad_rounds) as f64
-    }
-
-    /// Folds another batch's counters into this aggregate.
-    pub fn merge(&mut self, other: &SimdBatchStats) {
-        self.quad_rounds += other.quad_rounds;
-        self.active_lane_rounds += other.active_lane_rounds;
-    }
-}
+/// Per-lane outcome of a batched integration with stats: the measurement and its work
+/// counters, or the lane's own integration failure.
+pub type LaneResult = Result<(TimingMeasurement, TransientStats), TransientError>;
 
 /// The per-quad constants of the vector derivative: four lanes' problem parameters packed
 /// structure-of-arrays, built once per batch (quad membership is fixed).  The quad's two
@@ -195,12 +176,13 @@ fn eval_stage(
 ///
 /// Result `i` corresponds to `problems[i]` regardless of the order lanes retire in, and
 /// is independent of what other problems share the batch (element-wise vector math plus
-/// per-lane state make each trajectory a function of its own problem alone).
-pub(crate) fn integrate_batch_simd(
+/// per-lane state make each trajectory a function of its own problem alone).  The
+/// returned counters cover the batch: completed lanes' work plus the quad occupancy.
+pub(crate) fn integrate_quads(
     problems: &[TransientProblem],
-) -> (Vec<LaneResult>, SimdBatchStats) {
+) -> (Vec<LaneResult>, KernelStatsSnapshot) {
     let mut lanes: Vec<LaneState> = problems.iter().map(LaneState::new).collect();
-    let mut stats = SimdBatchStats::default();
+    let mut stats = KernelStatsSnapshot::default();
 
     // Fixed quad membership, constants packed once: chunk lane indices in input order and
     // pad the last partial quad by repeating its final lane.  Padded slots are evaluated
@@ -361,69 +343,107 @@ pub(crate) fn integrate_batch_simd(
         }
     }
 
-    (
-        lanes
-            .into_iter()
-            .zip(problems)
-            .map(|(lane, problem)| lane.into_result(problem))
-            .collect(),
-        stats,
-    )
+    let results: Vec<LaneResult> = lanes
+        .into_iter()
+        .zip(problems)
+        .map(|(lane, problem)| lane.into_result(problem))
+        .collect();
+    // Lanes that fail to complete their transition are reported as lane errors and
+    // contribute no work counters.
+    for (_, lane) in results.iter().flatten() {
+        stats.sims += 1;
+        stats.steps += lane.steps;
+        stats.rejected_steps += lane.rejected_steps;
+        stats.device_evals += lane.device_evals;
+    }
+    (results, stats)
 }
 
-/// Simulates one switching event through the SIMD kernel (a batch of one, so the quad
-/// runs at 25 % occupancy — the batched entry points are where the mode pays off).
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_switching`](crate::transient::simulate_switching).
-pub fn simulate_switching_simd_with_stats(
-    eq: &EquivalentInverter,
-    arc: &TimingArc,
-    point: &InputPoint,
+/// Validates `config`, then integrates the problems `build` yields in one quad worklist.
+fn solve(
     config: &TransientConfig,
-) -> Result<(TimingMeasurement, TransientStats), TransientError> {
+    build: impl Iterator<Item = TransientProblem>,
+) -> Result<Vec<LaneResult>, TransientError> {
     config.validate().map_err(TransientError::InvalidConfig)?;
-    let problems = [TransientProblem::new(eq, arc, point, config)];
-    let (mut results, _) = integrate_batch_simd(&problems);
-    // slic-lint: allow(P1) -- structural: integrate_batch_simd returns one result per problem and one problem was passed.
-    results.pop().expect("one problem yields one result")
+    let problems: Vec<TransientProblem> = build.collect();
+    Ok(integrate_quads(&problems).0)
 }
 
-/// Monte Carlo batch through the SIMD kernel: simulates `arc` at one input point for every
-/// equivalent inverter in `lanes`, returning per-lane results in input order.
+/// Monte Carlo batch: simulates `arc` at one input point for every equivalent inverter in
+/// `lanes` (one per process seed), returning per-lane results in input order.
 ///
 /// # Errors
 ///
-/// Same conditions as [`simulate_switching_batch`](crate::batch::simulate_switching_batch).
-pub fn simulate_switching_batch_simd(
+/// Returns [`TransientError::InvalidConfig`] if `config` fails validation; per-lane
+/// integration failures ([`TransientError::IncompleteTransition`]) are reported in the
+/// corresponding output slot without disturbing the other lanes.
+pub fn simulate_switching_batch(
     lanes: &[EquivalentInverter],
     arc: &TimingArc,
     point: &InputPoint,
     config: &TransientConfig,
 ) -> Result<Vec<Result<TimingMeasurement, TransientError>>, TransientError> {
-    simulate_switching_batch_simd_with_stats(lanes, arc, point, config)
-        .map(|(rs, _)| rs.into_iter().map(|r| r.map(|(m, _)| m)).collect())
+    simulate_switching_batch_with_stats(lanes, arc, point, config)
+        .map(|rs| rs.into_iter().map(|r| r.map(|(m, _)| m)).collect())
 }
 
-/// [`simulate_switching_batch_simd`] plus per-lane work counters and the batch's quad
-/// occupancy statistics.
+/// [`simulate_switching_batch`] plus per-lane integration-work counters.
 ///
 /// # Errors
 ///
-/// Same conditions as [`simulate_switching_batch`](crate::batch::simulate_switching_batch).
-pub fn simulate_switching_batch_simd_with_stats(
+/// Same conditions as [`simulate_switching_batch`].
+pub fn simulate_switching_batch_with_stats(
     lanes: &[EquivalentInverter],
     arc: &TimingArc,
     point: &InputPoint,
     config: &TransientConfig,
-) -> Result<(Vec<LaneResult>, SimdBatchStats), TransientError> {
-    config.validate().map_err(TransientError::InvalidConfig)?;
-    let problems: Vec<TransientProblem> = lanes
-        .iter()
-        .map(|eq| TransientProblem::new(eq, arc, point, config))
-        .collect();
-    Ok(integrate_batch_simd(&problems))
+) -> Result<Vec<LaneResult>, TransientError> {
+    solve(
+        config,
+        lanes
+            .iter()
+            .map(|eq| TransientProblem::new(eq, arc, point, config)),
+    )
+}
+
+/// Sweep batch: simulates `arc` with one equivalent inverter at every input point,
+/// returning per-point results in input order.
+///
+/// # Errors
+///
+/// Same conditions as [`simulate_switching_batch`].
+pub fn simulate_switching_sweep_batch(
+    eq: &EquivalentInverter,
+    arc: &TimingArc,
+    points: &[InputPoint],
+    config: &TransientConfig,
+) -> Result<Vec<Result<TimingMeasurement, TransientError>>, TransientError> {
+    let results = solve(
+        config,
+        points
+            .iter()
+            .map(|point| TransientProblem::new(eq, arc, point, config)),
+    )?;
+    Ok(results.into_iter().map(|r| r.map(|(m, _)| m)).collect())
+}
+
+/// Mixed batch: one lane per `(equivalent inverter, arc, input point)` triple, so lanes
+/// may differ in cell, arc, point and process seed — the shape of the engine's
+/// worklists.  Returns per-lane results with work counters, in input order.
+///
+/// # Errors
+///
+/// Same conditions as [`simulate_switching_batch`].
+pub fn simulate_switching_mixed_batch_with_stats(
+    lanes: &[(&EquivalentInverter, TimingArc, InputPoint)],
+    config: &TransientConfig,
+) -> Result<Vec<LaneResult>, TransientError> {
+    solve(
+        config,
+        lanes
+            .iter()
+            .map(|(eq, arc, point)| TransientProblem::new(eq, arc, point, config)),
+    )
 }
 
 #[cfg(test)]
@@ -457,12 +477,23 @@ mod tests {
         (arc, lanes)
     }
 
+    fn problems(
+        lanes: &[EquivalentInverter],
+        arc: &TimingArc,
+        point: &InputPoint,
+    ) -> Vec<TransientProblem> {
+        lanes
+            .iter()
+            .map(|eq| TransientProblem::new(eq, arc, point, &TransientConfig::fast()))
+            .collect()
+    }
+
     #[test]
     fn simd_lanes_track_scalar_within_accuracy_bound() {
         let (arc, lanes) = mc_lanes(11);
         let point = pt(5.0, 2.0, 0.8);
         let cfg = TransientConfig::fast();
-        let batch = simulate_switching_batch_simd(&lanes, &arc, &point, &cfg).unwrap();
+        let batch = simulate_switching_batch(&lanes, &arc, &point, &cfg).unwrap();
         for (eq, result) in lanes.iter().zip(&batch) {
             let scalar = simulate_switching(eq, &arc, &point, &cfg).unwrap();
             let simd = result.clone().unwrap();
@@ -482,10 +513,10 @@ mod tests {
         let (arc, lanes) = mc_lanes(7);
         let point = pt(3.0, 1.5, 0.9);
         let cfg = TransientConfig::fast();
-        let full = simulate_switching_batch_simd(&lanes, &arc, &point, &cfg).unwrap();
+        let full = simulate_switching_batch(&lanes, &arc, &point, &cfg).unwrap();
         for (i, eq) in lanes.iter().enumerate() {
-            let solo = simulate_switching_batch_simd(std::slice::from_ref(eq), &arc, &point, &cfg)
-                .unwrap();
+            let solo =
+                simulate_switching_batch(std::slice::from_ref(eq), &arc, &point, &cfg).unwrap();
             let a = full[i].clone().unwrap();
             let b = solo[0].clone().unwrap();
             assert_eq!(a.delay.value().to_bits(), b.delay.value().to_bits());
@@ -494,10 +525,6 @@ mod tests {
                 b.output_slew.value().to_bits()
             );
         }
-        // And the one-shot entry point agrees with the batch lane.
-        let (solo, _) = simulate_switching_simd_with_stats(&lanes[2], &arc, &point, &cfg).unwrap();
-        let lane = full[2].clone().unwrap();
-        assert_eq!(solo.delay.value().to_bits(), lane.delay.value().to_bits());
     }
 
     #[test]
@@ -505,8 +532,8 @@ mod tests {
         let (arc, lanes) = mc_lanes(9);
         let point = pt(5.0, 2.0, 0.8);
         let cfg = TransientConfig::accurate();
-        let a = simulate_switching_batch_simd(&lanes, &arc, &point, &cfg).unwrap();
-        let b = simulate_switching_batch_simd(&lanes, &arc, &point, &cfg).unwrap();
+        let a = simulate_switching_batch(&lanes, &arc, &point, &cfg).unwrap();
+        let b = simulate_switching_batch(&lanes, &arc, &point, &cfg).unwrap();
         for (x, y) in a.iter().zip(&b) {
             let (x, y) = (x.clone().unwrap(), y.clone().unwrap());
             assert_eq!(x.delay.value().to_bits(), y.delay.value().to_bits());
@@ -521,20 +548,20 @@ mod tests {
     fn quad_occupancy_reflects_batch_shape() {
         let (arc, lanes) = mc_lanes(16);
         let point = pt(5.0, 2.0, 0.8);
-        let cfg = TransientConfig::fast();
-        let (_, stats) =
-            simulate_switching_batch_simd_with_stats(&lanes, &arc, &point, &cfg).unwrap();
-        let occ = stats.occupancy();
-        assert!(stats.quad_rounds > 0);
+        let (results, stats) = integrate_quads(&problems(&lanes, &arc, &point));
+        let occ = stats.quad_occupancy().expect("quads ran");
         assert!(
             occ > 0.5 && occ <= 1.0,
             "16 cross-seed lanes should keep quads mostly full, got {occ}"
         );
+        // The batch counters are the sum of the completed lanes' own counters.
+        assert_eq!(stats.sims, 16);
+        let steps: u64 = results.iter().map(|r| r.as_ref().unwrap().1.steps).sum();
+        assert_eq!(stats.steps, steps);
         // A batch of one can never do better than a quarter-full quad.
-        let (_, solo) =
-            simulate_switching_batch_simd_with_stats(&lanes[..1], &arc, &point, &cfg).unwrap();
+        let (_, solo) = integrate_quads(&problems(&lanes[..1], &arc, &point));
         assert_eq!(solo.active_lane_rounds, solo.quad_rounds);
-        assert!((solo.occupancy() - 0.25).abs() < 1e-12);
+        assert!((solo.quad_occupancy().unwrap() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -543,37 +570,49 @@ mod tests {
         let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
         let eq = EquivalentInverter::nominal(&tech, cell);
-        let cfg = TransientConfig::fast();
-        let problems: Vec<TransientProblem> = [
-            pt(5.0, 2.0, 0.8),
-            pt(5.0, 2.0, 0.02), // sub-threshold: never completes
-            pt(5.0, 2.0, 0.9),
-        ]
-        .iter()
-        .map(|p| TransientProblem::new(&eq, &arc, p, &cfg))
-        .collect();
-        let (results, _) = integrate_batch_simd(&problems);
-        assert!(results[0].is_ok());
+        // A sub-threshold supply lane between two healthy lanes.
+        let points = [pt(5.0, 2.0, 0.8), pt(5.0, 2.0, 0.02), pt(5.0, 2.0, 0.9)];
+        let batch =
+            simulate_switching_sweep_batch(&eq, &arc, &points, &TransientConfig::fast()).unwrap();
+        assert!(batch[0].is_ok());
         assert!(matches!(
-            results[1],
+            batch[1],
             Err(TransientError::IncompleteTransition { .. })
         ));
-        assert!(results[2].is_ok());
+        assert!(batch[2].is_ok());
+        // The failed lane contributes no work counters.
+        let problems: Vec<TransientProblem> = points
+            .iter()
+            .map(|p| TransientProblem::new(&eq, &arc, p, &TransientConfig::fast()))
+            .collect();
+        assert_eq!(integrate_quads(&problems).1.sims, 2);
+    }
+
+    #[test]
+    fn invalid_config_rejected_before_any_lane_runs() {
+        let tech = TechnologyNode::n14_finfet();
+        let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
+        let arc = TimingArc::new(cell, 0, Transition::Fall);
+        let eq = EquivalentInverter::nominal(&tech, cell);
+        let bad = TransientConfig {
+            min_steps_per_ramp: 2,
+            ..TransientConfig::fast()
+        };
+        let err = simulate_switching_batch(&[eq], &arc, &pt(5.0, 2.0, 0.8), &bad).unwrap_err();
+        assert!(matches!(err, TransientError::InvalidConfig(_)));
     }
 
     #[test]
     fn empty_simd_batch_is_fine() {
         let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
-        let (batch, stats) = simulate_switching_batch_simd_with_stats(
-            &[],
-            &arc,
-            &pt(5.0, 2.0, 0.8),
-            &TransientConfig::fast(),
-        )
-        .unwrap();
+        let batch =
+            simulate_switching_batch(&[], &arc, &pt(5.0, 2.0, 0.8), &TransientConfig::fast())
+                .unwrap();
         assert!(batch.is_empty());
-        assert_eq!(stats.quad_rounds, 0);
-        assert_eq!(stats.occupancy(), 1.0);
+        let (results, stats) = integrate_quads(&[]);
+        assert!(results.is_empty());
+        assert_eq!(stats, KernelStatsSnapshot::default());
+        assert_eq!(stats.quad_occupancy(), None);
     }
 }

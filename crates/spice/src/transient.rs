@@ -321,9 +321,9 @@ impl TransientProblem {
 
 /// The integration state of one simulation lane.
 ///
-/// The scalar entry points and the batched kernel drive lanes through the *same*
-/// [`step`](Self::step) method, which is what guarantees that batch lane `i` is bitwise
-/// identical to the scalar simulation of the same problem.
+/// The scalar entry points drive a lane through [`step`](Self::step); the SIMD quad
+/// kernel evaluates the stages four lanes at a time and completes each attempt through
+/// the same [`finish_attempt`](Self::finish_attempt), so step control is shared.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneState {
     pub(crate) t: f64,

@@ -120,6 +120,46 @@ fn repeated_run_on_a_warm_cache_pays_almost_nothing() {
 }
 
 #[test]
+fn warm_rerun_from_a_cache_log_is_byte_identical_to_the_cold_artifact() {
+    let dir = std::env::temp_dir().join(format!("slic-warm-rerun-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let log = dir.join("cache.jsonl");
+    std::fs::remove_file(&log).ok();
+    let resolved = RunConfig {
+        cache: Some(log.display().to_string()),
+        ..quick_config()
+    }
+    .resolve()
+    .expect("config resolves");
+
+    // Cold run: every coordinate is solved and appended to the log when the runner drops.
+    let cold_runner = PipelineRunner::new(resolved.clone()).expect("runner builds");
+    let (_, cold) = cold_runner.run().expect("cold run completes");
+    drop(cold_runner);
+    assert!(cold.total_simulations > 0);
+
+    // Warm rerun in a fresh runner, answered entirely from the log.
+    let warm_runner = PipelineRunner::new(resolved).expect("runner builds");
+    let (_, warm) = warm_runner.run().expect("warm rerun completes");
+    assert_eq!(warm.total_simulations, 0, "the log answers every lookup");
+    assert_eq!(warm.cache_misses, 0);
+
+    // Only the run-cost totals may differ; every other byte is the cold artifact's.
+    let rebased = RunArtifact {
+        total_simulations: cold.total_simulations,
+        cache_hits: cold.cache_hits,
+        cache_misses: cold.cache_misses,
+        ..warm
+    };
+    assert_eq!(
+        rebased.to_json().expect("serializes"),
+        cold.to_json().expect("serializes"),
+        "a warm rerun must reproduce the cold artifact byte for byte"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn artifact_files_round_trip_on_disk() {
     let resolved = quick_config().resolve().expect("config resolves");
     let runner = PipelineRunner::new(resolved).expect("runner builds");

@@ -113,7 +113,6 @@ fn synthetic_artifact_with_variation(
         cache_hits: 2 * plan.len() as u64,
         cache_misses: plan.len() as u64,
         variation,
-        kernel: None,
         farm: None,
     }
 }
