@@ -1455,11 +1455,11 @@ fn cmd_bench_entry(args: &[String]) -> ExitCode {
 /// noise-tolerant floor the CI speedup gate applies.  A variant missing from the
 /// fresh (reduced-mode) report is informational, not a regression.
 fn cmd_bench_diff(committed_path: &str, fresh_path: &str) -> ExitCode {
-    use slic_obs::profile::Json;
-    let load = |path: &str| -> Result<Json, String> {
+    use serde_json::Value;
+    let load = |path: &str| -> Result<Value, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|err| format!("cannot read bench report `{path}`: {err}"))?;
-        slic_obs::profile::parse_json(&text).map_err(|err| format!("`{path}`: {err}"))
+        serde_json::from_str(&text).map_err(|err| format!("`{path}`: {err}"))
     };
     let (committed, fresh) = match (load(committed_path), load(fresh_path)) {
         (Ok(committed), Ok(fresh)) => (committed, fresh),
@@ -1469,17 +1469,19 @@ fn cmd_bench_diff(committed_path: &str, fresh_path: &str) -> ExitCode {
         }
     };
     // One (variant-name, preset) row per bench variant, in the report's file order.
-    let variants = |report: &Json| -> Vec<(String, String, u64)> {
-        let Some(Json::Arr(items)) = report.get("variants") else {
+    let variants = |report: &Value| -> Vec<(String, String, u64)> {
+        let Some(items) = report.get("variants").and_then(Value::as_array) else {
             return Vec::new();
         };
         items
             .iter()
             .filter_map(|v| {
+                // Throughputs are fractional; the gate compares whole sims/s.
+                let sims_per_sec = v.get("sims_per_sec")?.as_f64().filter(|n| *n >= 0.0)?;
                 Some((
                     v.get("name")?.as_str()?.to_string(),
                     v.get("config")?.as_str()?.to_string(),
-                    v.get("sims_per_sec")?.as_u64()?,
+                    sims_per_sec as u64,
                 ))
             })
             .collect()
@@ -1490,8 +1492,8 @@ fn cmd_bench_diff(committed_path: &str, fresh_path: &str) -> ExitCode {
         eprintln!("error: `{committed_path}` holds no bench variants");
         return ExitCode::from(2);
     }
-    let mode = |report: &Json| match report.get("reduced") {
-        Some(Json::Bool(true)) => "reduced",
+    let mode = |report: &Value| match report.get("reduced").and_then(Value::as_bool) {
+        Some(true) => "reduced",
         _ => "full",
     };
     let mut report = DiffReport::default();
@@ -1518,12 +1520,16 @@ fn cmd_bench_diff(committed_path: &str, fresh_path: &str) -> ExitCode {
     );
     // The derived speedup ratios, committed vs fresh, for context (never gated: the
     // per-variant rows above already cover the regression surface).
-    if let Some(Json::Obj(speedups)) = committed.get("speedups") {
+    if let Some(speedups) = committed.get("speedups").and_then(Value::as_object) {
         println!("\n{:<44}{:>10}{:>10}", "speedup", "committed", "fresh");
         for (key, base) in speedups {
-            let Json::Num(base) = base else { continue };
-            let now = match fresh.get("speedups").and_then(|s| s.get(key)) {
-                Some(Json::Num(now)) => format!("{now:>9.2}x"),
+            let Some(base) = base.as_f64() else { continue };
+            let now = match fresh
+                .get("speedups")
+                .and_then(|s| s.get(key))
+                .and_then(Value::as_f64)
+            {
+                Some(now) => format!("{now:>9.2}x"),
                 _ => format!("{:>10}", "(missing)"),
             };
             println!("{key:<44}{base:>9.2}x{now}");

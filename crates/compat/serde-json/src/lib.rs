@@ -2,7 +2,8 @@
 //! data model as JSON text and parses it back.
 //!
 //! Covers the surface this workspace uses — [`to_string`], [`to_string_pretty`],
-//! [`from_str`], the [`Value`] re-export and the [`Error`] type.  Numbers are `f64`-backed
+//! [`from_str`], the [`Value`] re-export and the [`Error`] type.  Strings decode every
+//! escape JSON defines, surrogate pairs included.  Numbers are `f64`-backed
 //! (integers up to 2^53 round-trip exactly); `NaN`/infinite numbers are rejected at
 //! serialization time, matching upstream's behaviour of refusing non-finite floats.
 
@@ -235,54 +236,68 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
     *pos += 1;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err(Error::custom("unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex)
-                                .map_err(|_| Error::custom("bad \\u escape"))?,
-                            16,
-                        )
-                        .map_err(|_| Error::custom("bad \\u escape"))?;
-                        // Surrogate pairs are not needed for this workspace's ASCII-ish data.
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| Error::custom("bad \\u escape"))?,
-                        );
-                        *pos += 4;
-                    }
-                    other => return Err(Error::custom(format!("bad escape {other:?}"))),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy one UTF-8 character (multi-byte sequences arrive as valid UTF-8
-                // because the input is a `&str`).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| Error::custom("invalid UTF-8 inside string"))?;
-                let c = rest.chars().next().expect("non-empty remainder");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the run of plain bytes up to the next `"` or `\` in one piece: both
+        // delimiters are ASCII, so the run ends on a char boundary.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| Error::custom("unterminated string"))?;
+        out.push_str(
+            std::str::from_utf8(&bytes[*pos..*pos + run])
+                .map_err(|_| Error::custom("invalid UTF-8 inside string"))?,
+        );
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let first = parse_hex4(bytes, *pos + 1)?;
+                *pos += 4;
+                let code = if (0xD800..0xDC00).contains(&first) {
+                    // A high surrogate must pair with a low-surrogate escape next.
+                    let second = match bytes.get(*pos + 1..*pos + 3) {
+                        Some(b"\\u") => parse_hex4(bytes, *pos + 3)?,
+                        _ => 0,
+                    };
+                    if !(0xDC00..=0xDFFF).contains(&second) {
+                        return Err(Error::custom("unpaired surrogate escape"));
+                    }
+                    *pos += 6;
+                    0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+                } else {
+                    first
+                };
+                // A lone low surrogate is not a scalar value and fails here.
+                out.push(char::from_u32(code).ok_or_else(|| Error::custom("bad \\u escape"))?);
+            }
+            other => return Err(Error::custom(format!("bad escape {other:?}"))),
+        }
+        *pos += 1;
     }
+}
+
+/// Reads the four hex digits of a `\u` escape starting at byte `at`.
+fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, Error> {
+    let digits = bytes
+        .get(at..at + 4)
+        .ok_or_else(|| Error::custom("truncated \\u escape"))?;
+    digits.iter().try_fold(0, |code, &b| {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| Error::custom("bad \\u escape"))?;
+        Ok(code << 4 | digit)
+    })
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
@@ -334,6 +349,19 @@ mod tests {
         let v: Value = from_str(r#"{"s":"a\"b\\c\ndA","n":-2.5e3}"#).unwrap();
         assert_eq!(v.get("s").unwrap().as_str().unwrap(), "a\"b\\c\ndA");
         assert_eq!(v.get("n").unwrap().as_f64().unwrap(), -2500.0);
+        // Raw multibyte text is copied verbatim; surrogate-pair escapes (what Python's
+        // `json.dumps` writes for astral characters) decode to one scalar.
+        for (text, want) in [
+            ("\"é ü привет 😀\"", "é ü привет 😀"),
+            (r#""\ud83d\ude00""#, "😀"),
+            (r#""a\uD83D\uDE00b\u00e9""#, "a😀bé"),
+        ] {
+            assert_eq!(
+                from_str::<Value>(text).unwrap().as_str(),
+                Some(want),
+                "{text}"
+            );
+        }
     }
 
     #[test]
@@ -352,5 +380,16 @@ mod tests {
         assert!(from_str::<Value>("{\"a\":1,}").is_err());
         assert!(from_str::<Value>("[1 2]").is_err());
         assert!(from_str::<Value>("{\"a\":1} extra").is_err());
+        // Unpaired or malformed surrogate escapes are errors, never panics.
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud800\u0041""#,
+            r#""\ud800A""#,
+            r#""\udc00""#,
+            r#""\ud800\u12""#,
+            r#""\u+abc""#,
+        ] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -69,6 +69,17 @@ impl Value {
         }
     }
 
+    /// The value as a `u64`, if it is a non-negative whole number in range (upstream
+    /// semantics: fractional and negative numbers are `None`, never truncated).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+
     /// The value as a boolean, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -392,6 +403,16 @@ mod tests {
             "overflow must not saturate"
         );
         assert_eq!(i32::from_value(&Value::Number(-5.0)).unwrap(), -5);
+        assert_eq!(Value::Number(42.0).as_u64(), Some(42));
+        assert_eq!(Value::Number(0.0).as_u64(), Some(0));
+        assert_eq!(
+            Value::Number(1.5).as_u64(),
+            None,
+            "fractions are not truncated"
+        );
+        assert_eq!(Value::Number(-1.0).as_u64(), None);
+        assert_eq!(Value::Number(1e20).as_u64(), None, "out of range");
+        assert_eq!(Value::String("3".to_string()).as_u64(), None);
         assert!(bool::from_value(&true.to_value()).unwrap());
         assert_eq!(String::from_value(&"hi".to_value()).unwrap(), "hi");
         assert!(String::from_value(&Value::Null).is_err());

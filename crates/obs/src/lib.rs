@@ -12,8 +12,11 @@
 //!   sorted, deterministic snapshot, unifying the per-subsystem counter structs
 //!   (`DispatchSnapshot`, `FarmStats`, `KernelStatsSnapshot`, cache hit/miss) behind
 //!   one post-run summary surface.
-//! * [`profile`] — the analysis side: a dependency-free parser for the trace schema
-//!   and the report builder behind `slic profile <trace.jsonl>`.
+//! * [`profile`] — the analysis side: the trace-record decoder (over the workspace's
+//!   `serde_json` reader) and the report builder behind `slic profile <trace.jsonl>`.
+//! * [`jsonl`] — the JSON-lines append log the ledger and `slic_spice`'s disk cache
+//!   share: exclusive-flock whole-line appends after torn-tail truncation, shared-lock
+//!   reads, and the salvage-and-count line reader.
 //! * [`ledger`] — the cross-run side: an append-only, flock-guarded `runs.jsonl` of
 //!   [`ledger::RunRecord`]s (config fingerprint, seed, wall time, sims paid vs
 //!   cached, artifact hash, full metrics snapshot) behind `observability.ledger` /
@@ -31,10 +34,13 @@
 //! the only wall-clock read in the workspace lives in [`clock::MonotonicClock`] behind
 //! the [`clock::Clock`] trait (the scoped `slic-lint` D1 exemption covers exactly this
 //! crate).  `RunArtifact` bytes are identical with tracing on or off — CI `cmp`-gates
-//! that invariant.
+//! that invariant.  The disk cache persisting its log through [`jsonl`] does not break
+//! the promise: `jsonl` moves bytes and decides nothing about their content, so every
+//! other module here stays display-only.
 
 pub mod clock;
 pub mod diff;
+pub mod jsonl;
 pub mod ledger;
 pub mod metrics;
 pub mod perfetto;

@@ -90,7 +90,8 @@ fn micros(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{parse_json, parse_trace, Json};
+    use crate::profile::parse_trace;
+    use serde_json::Value;
 
     fn sample_trace() -> ParsedTrace {
         let text = concat!(
@@ -103,11 +104,11 @@ mod tests {
         parsed
     }
 
-    fn events(rendered: &str) -> Vec<Json> {
-        let doc = parse_json(rendered).expect("chrome export is valid JSON");
-        match doc.get("traceEvents") {
-            Some(Json::Arr(events)) => events.clone(),
-            other => panic!("traceEvents array expected, got {other:?}"),
+    fn events(rendered: &str) -> Vec<Value> {
+        let doc: Value = serde_json::from_str(rendered).expect("chrome export is valid JSON");
+        match doc.get("traceEvents").and_then(Value::as_array) {
+            Some(events) => events.to_vec(),
+            None => panic!("traceEvents array expected, got {doc:?}"),
         }
     }
 
@@ -118,9 +119,9 @@ mod tests {
         // 2 thread metadata rows + 2 spans + 1 instant.
         assert_eq!(events.len(), 5);
 
-        let metadata: Vec<&Json> = events
+        let metadata: Vec<&Value> = events
             .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
             .collect();
         assert_eq!(metadata.len(), 2);
         assert_eq!(
@@ -133,9 +134,9 @@ mod tests {
             Some("thread 0")
         );
 
-        let spans: Vec<&Json> = events
+        let spans: Vec<&Value> = events
             .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
             .collect();
         assert_eq!(spans.len(), 2);
         let root = spans[0];
@@ -143,15 +144,12 @@ mod tests {
         assert_eq!(root.get("tid").unwrap().as_u64(), Some(0));
         assert_eq!(child.get("tid").unwrap().as_u64(), Some(1));
         // Nesting preserved: the child's [ts, ts+dur] window sits inside the root's.
-        let window = |span: &Json| -> (f64, f64) {
-            let ts = match span.get("ts") {
-                Some(Json::Num(ts)) => *ts,
-                other => panic!("numeric ts expected, got {other:?}"),
-            };
-            let dur = match span.get("dur") {
-                Some(Json::Num(dur)) => *dur,
-                other => panic!("numeric dur expected, got {other:?}"),
-            };
+        let window = |span: &Value| -> (f64, f64) {
+            let ts = span.get("ts").and_then(Value::as_f64).expect("numeric ts");
+            let dur = span
+                .get("dur")
+                .and_then(Value::as_f64)
+                .expect("numeric dur");
             (ts, ts + dur)
         };
         let (root_start, root_end) = window(root);
@@ -170,7 +168,7 @@ mod tests {
 
         let instant = events
             .iter()
-            .find(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
+            .find(|e| e.get("ph").and_then(Value::as_str) == Some("i"))
             .expect("instant event");
         assert_eq!(instant.get("name").unwrap().as_str(), Some("progress"));
         assert_eq!(

@@ -1,248 +1,17 @@
-//! The analysis side of the trace schema: a dependency-free JSON-lines parser and the
-//! report builder behind `slic profile <trace.jsonl>`.
+//! The analysis side of the trace schema: the trace-record decoder and the report
+//! builder behind `slic profile <trace.jsonl>`.
 //!
-//! The parser accepts the constrained grammar [`crate::trace`] emits (objects, string
-//! and number values, string-valued attr maps) plus enough general JSON to be honest
-//! about malformed input.  A trace cut short — worker killed mid-write, disk filled —
-//! parses to its longest well-formed prefix: every unparseable line is *counted and
-//! dropped*, never silently absorbed, and the CLI exits nonzero when any line was
-//! dropped so CI cannot mistake a truncated trace for a complete one.
+//! Lines are read with the workspace's `serde_json` through [`jsonl::salvage`] and
+//! decoded against the grammar [`crate::trace`] emits.  A trace cut short — worker
+//! killed mid-write, disk filled — parses to its longest well-formed prefix: every
+//! unparseable line is *counted and dropped*, never silently absorbed, and the CLI
+//! exits nonzero when any line was dropped so CI cannot mistake a truncated trace for
+//! a complete one.
 
+use crate::jsonl;
 use crate::metrics::Histogram;
+use serde_json::Value;
 use std::collections::BTreeMap;
-
-/// A parsed JSON value (the subset the trace schema needs, plus arrays for honesty).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object-field lookup; `None` on non-objects and missing keys.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(name, _)| name == key)
-                .map(|(_, value)| value),
-            _ => None,
-        }
-    }
-
-    /// Numeric-field read as `u64`; `None` on negatives and non-numbers.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(value) if *value >= 0.0 => Some(*value as u64),
-            _ => None,
-        }
-    }
-
-    /// String-field read; `None` on non-strings.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(text) => Some(text),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document from `text` (surrounding whitespace allowed).
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first syntax error.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut pos = 0usize;
-    let value = parse_value(&chars, &mut pos)?;
-    skip_ws(&chars, &mut pos);
-    if pos != chars.len() {
-        return Err(format!("trailing content at offset {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(chars: &[char], pos: &mut usize) {
-    while chars
-        .get(*pos)
-        .is_some_and(|c| matches!(c, ' ' | '\t' | '\n' | '\r'))
-    {
-        *pos += 1;
-    }
-}
-
-fn expect(chars: &[char], pos: &mut usize, want: char) -> Result<(), String> {
-    if chars.get(*pos) == Some(&want) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{want}` at offset {pos}"))
-    }
-}
-
-fn parse_value(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(chars, pos);
-    match chars.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some('{') => parse_object(chars, pos),
-        Some('[') => parse_array(chars, pos),
-        Some('"') => parse_string(chars, pos).map(Json::Str),
-        Some('t') => parse_literal(chars, pos, "true", Json::Bool(true)),
-        Some('f') => parse_literal(chars, pos, "false", Json::Bool(false)),
-        Some('n') => parse_literal(chars, pos, "null", Json::Null),
-        Some(c) if *c == '-' || c.is_ascii_digit() => parse_number(chars, pos),
-        Some(c) => Err(format!("unexpected `{c}` at offset {pos}")),
-    }
-}
-
-fn parse_literal(chars: &[char], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    for want in word.chars() {
-        if chars.get(*pos) != Some(&want) {
-            return Err(format!("malformed literal at offset {pos}"));
-        }
-        *pos += 1;
-    }
-    Ok(value)
-}
-
-fn parse_number(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if chars.get(*pos) == Some(&'-') {
-        *pos += 1;
-    }
-    while chars
-        .get(*pos)
-        .is_some_and(|c| c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-'))
-    {
-        *pos += 1;
-    }
-    let text: String = chars[start..*pos].iter().collect();
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("malformed number `{text}` at offset {start}"))
-}
-
-fn parse_string(chars: &[char], pos: &mut usize) -> Result<String, String> {
-    expect(chars, pos, '"')?;
-    let mut out = String::new();
-    loop {
-        match chars.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some('"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some('\\') => {
-                *pos += 1;
-                match chars.get(*pos) {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('u') => {
-                        let first = parse_hex4(chars, pos)?;
-                        let code = if (0xD800..0xDC00).contains(&first) {
-                            // A high surrogate must pair with `\uDC00..` next.
-                            if chars.get(*pos + 1) == Some(&'\\')
-                                && chars.get(*pos + 2) == Some(&'u')
-                            {
-                                *pos += 2;
-                                let second = parse_hex4(chars, pos)?;
-                                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-                            } else {
-                                return Err("unpaired surrogate escape".to_string());
-                            }
-                        } else {
-                            first
-                        };
-                        match char::from_u32(code) {
-                            Some(ch) => out.push(ch),
-                            None => return Err(format!("invalid scalar \\u{code:x}")),
-                        }
-                    }
-                    _ => return Err(format!("invalid escape at offset {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(c) => {
-                out.push(*c);
-                *pos += 1;
-            }
-        }
-    }
-}
-
-/// Reads the four hex digits after `\u`, leaving `pos` on the final digit.
-fn parse_hex4(chars: &[char], pos: &mut usize) -> Result<u32, String> {
-    let mut code = 0u32;
-    for _ in 0..4 {
-        *pos += 1;
-        let digit = chars
-            .get(*pos)
-            .and_then(|c| c.to_digit(16))
-            .ok_or_else(|| format!("malformed \\u escape at offset {pos}"))?;
-        code = (code << 4) | digit;
-    }
-    Ok(code)
-}
-
-fn parse_array(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    expect(chars, pos, '[')?;
-    let mut items = Vec::new();
-    skip_ws(chars, pos);
-    if chars.get(*pos) == Some(&']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(chars, pos)?);
-        skip_ws(chars, pos);
-        match chars.get(*pos) {
-            Some(',') => *pos += 1,
-            Some(']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at offset {pos}")),
-        }
-    }
-}
-
-fn parse_object(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    expect(chars, pos, '{')?;
-    let mut fields = Vec::new();
-    skip_ws(chars, pos);
-    if chars.get(*pos) == Some(&'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(chars, pos);
-        let key = parse_string(chars, pos)?;
-        skip_ws(chars, pos);
-        expect(chars, pos, ':')?;
-        let value = parse_value(chars, pos)?;
-        fields.push((key, value));
-        skip_ws(chars, pos);
-        match chars.get(*pos) {
-            Some(',') => *pos += 1,
-            Some('}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(format!("expected `,` or `}}` at offset {pos}")),
-        }
-    }
-}
 
 /// Span vs instantaneous event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,36 +46,27 @@ pub struct ParsedTrace {
 
 /// Parses a whole trace file, salvaging every well-formed line.
 pub fn parse_trace(text: &str) -> ParsedTrace {
-    let mut parsed = ParsedTrace::default();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_json(line).ok().and_then(|json| decode_record(&json)) {
-            Some(record) => parsed.records.push(record),
-            None => parsed.dropped += 1,
-        }
-    }
-    parsed
+    let (records, dropped) = jsonl::salvage(text, decode_record);
+    ParsedTrace { records, dropped }
 }
 
-fn decode_record(json: &Json) -> Option<TraceRecord> {
+fn decode_record(json: &Value) -> Option<TraceRecord> {
     let kind = match json.get("type")?.as_str()? {
         "span" => RecordKind::Span,
         "event" => RecordKind::Event,
         _ => return None,
     };
-    let attrs = match json.get("attrs") {
-        Some(Json::Obj(fields)) => fields
+    let attrs = match json.get("attrs").and_then(Value::as_object) {
+        Some(fields) => fields
             .iter()
             .map(|(key, value)| Some((key.clone(), value.as_str()?.to_string())))
             .collect::<Option<Vec<_>>>()?,
-        _ => Vec::new(),
+        None => Vec::new(),
     };
     Some(TraceRecord {
         kind,
         id: json.get("id")?.as_u64()?,
-        parent: json.get("parent").and_then(Json::as_u64),
+        parent: json.get("parent").and_then(Value::as_u64),
         thread: json.get("thread")?.as_u64()?,
         name: json.get("name")?.as_str()?.to_string(),
         start_ns: match kind {
@@ -317,7 +77,7 @@ fn decode_record(json: &Json) -> Option<TraceRecord> {
             RecordKind::Span => json.get("dur_ns")?.as_u64()?,
             RecordKind::Event => 0,
         },
-        attrs: attrs.clone(),
+        attrs,
     })
 }
 
@@ -733,29 +493,33 @@ mod tests {
 
     #[test]
     fn parser_accepts_the_trace_grammar() {
-        let json = parse_json(
-            "{\"type\":\"span\",\"id\":3,\"thread\":2,\"name\":\"a \\\"b\\\"\\n\",\"start_ns\":1,\"dur_ns\":2,\"attrs\":{\"k\":\"v\"}}",
-        )
-        .expect("parses");
-        assert_eq!(json.get("id").and_then(Json::as_u64), Some(3));
-        assert_eq!(json.get("name").and_then(Json::as_str), Some("a \"b\"\n"));
+        let line = "{\"type\":\"span\",\"id\":3,\"thread\":2,\"name\":\"a \\\"b\\\"\\n\",\"start_ns\":1,\"dur_ns\":2,\"attrs\":{\"k\":\"v\"}}";
+        let json: Value = serde_json::from_str(line).expect("parses");
+        assert_eq!(json.get("id").and_then(Value::as_u64), Some(3));
+        assert_eq!(json.get("name").and_then(Value::as_str), Some("a \"b\"\n"));
+        let record = decode_record(&json).expect("decodes");
+        assert_eq!((record.id, record.thread), (3, 2));
+        assert_eq!(record.attrs, vec![("k".to_string(), "v".to_string())]);
     }
 
     #[test]
     fn parser_rejects_truncated_lines() {
-        assert!(parse_json("{\"type\":\"span\",\"id\":3,\"na").is_err());
-        assert!(parse_json("{\"a\":1} trailing").is_err());
-        assert!(parse_json("").is_err());
+        assert!(serde_json::from_str::<Value>("{\"type\":\"span\",\"id\":3,\"na").is_err());
+        assert!(serde_json::from_str::<Value>("{\"a\":1} trailing").is_err());
+        assert!(serde_json::from_str::<Value>("").is_err());
     }
 
     #[test]
     fn surrogate_pairs_decode() {
-        let json = parse_json("{\"k\":\"\\ud83d\\ude00\"}").expect("parses");
-        assert_eq!(json.get("k").and_then(Json::as_str), Some("😀"));
+        let json: Value = serde_json::from_str("{\"k\":\"\\ud83d\\ude00\"}").expect("parses");
+        assert_eq!(json.get("k").and_then(Value::as_str), Some("😀"));
         assert!(
-            parse_json("{\"k\":\"\\ud83d\"}").is_err(),
+            serde_json::from_str::<Value>("{\"k\":\"\\ud83d\"}").is_err(),
             "unpaired high surrogate"
         );
+        let trace = parse_trace(&span_line(1, None, "\\ud83d\\ude00", 0, 1, ""));
+        assert_eq!((trace.records.len(), trace.dropped), (1, 0));
+        assert_eq!(trace.records[0].name, "😀");
     }
 
     #[test]
@@ -857,11 +621,12 @@ mod tests {
         assert!(md.contains("## Phase breakdown"));
         assert!(md.contains("| w0 |"));
         let json_text = render_json(&report);
-        let parsed = parse_json(json_text.trim()).expect("self-parseable JSON");
-        assert_eq!(parsed.get("spans").and_then(Json::as_u64), Some(2));
-        let Some(Json::Arr(workers)) = parsed.get("workers") else {
-            panic!("workers array");
-        };
+        let parsed: Value = serde_json::from_str(&json_text).expect("self-parseable JSON");
+        assert_eq!(parsed.get("spans").and_then(Value::as_u64), Some(2));
+        let workers = parsed
+            .get("workers")
+            .and_then(Value::as_array)
+            .expect("workers array");
         assert_eq!(workers.len(), 1);
     }
 }

@@ -8,8 +8,9 @@
 //! warm-start from the same file: a rerun of an already-characterized shard pays zero
 //! transient simulations.
 //!
-//! Reads and appends take an advisory file lock (shared for load, exclusive for flush),
-//! so same-host workers pointed at one cache file never interleave partial lines; each
+//! Reads and appends go through the workspace's JSON-lines append log
+//! ([`slic_obs::jsonl`]: shared advisory lock for load, exclusive for flush), so
+//! same-host workers pointed at one cache file never interleave partial lines; each
 //! worker still only *sees* records flushed before it opened the file, so sequential
 //! workers share everything while concurrent workers merely deduplicate what was on disk
 //! when they started.  The in-memory side mirrors [`InMemorySimCache`]'s 16-way sharding,
@@ -25,7 +26,7 @@ use crate::cache::{CacheError, InMemorySimCache, SimKey, SimulationCache};
 use crate::measure::TimingMeasurement;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -115,12 +116,8 @@ impl DiskSimCache {
             memory: InMemorySimCache::new(),
             pending: Mutex::new(Vec::new()),
         };
-        let text = match std::fs::File::open(&cache.path) {
-            Ok(file) => {
-                file.lock_shared()?;
-                std::io::read_to_string(&file)?
-                // Closing the handle releases the lock.
-            }
+        let text = match slic_obs::jsonl::read_shared(&cache.path) {
+            Ok(text) => text,
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => String::new(),
             Err(err) => return Err(err.into()),
         };
@@ -322,11 +319,10 @@ impl DiskSimCache {
         })
     }
 
-    /// Appends every record stored since the last flush to the log file, under an
-    /// exclusive advisory lock so concurrent same-host workers append whole lines.
-    ///
-    /// A torn final line left by a crashed writer is truncated away first — appending
-    /// after it would weld the partial bytes and the first new record into one
+    /// Appends every record stored since the last flush to the log file through
+    /// [`slic_obs::jsonl::append`]: an exclusive advisory lock, so concurrent same-host
+    /// workers append whole lines, and torn-tail truncation first — appending after a
+    /// crashed writer's partial bytes would weld them and the first new record into one
     /// unparseable interior line and brick the log for every later `open`.
     ///
     /// Called automatically on drop; call it explicitly when the cache must be durable at
@@ -344,54 +340,10 @@ impl DiskSimCache {
         if pending.is_empty() {
             return Ok(());
         }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
-        file.lock()?;
-        truncate_torn_tail(&mut file)?;
-        let mut text = String::new();
-        for line in pending.iter() {
-            text.push_str(line);
-            text.push('\n');
-        }
-        file.write_all(text.as_bytes())?;
-        file.flush()?;
+        slic_obs::jsonl::append(&self.path, &pending)?;
         pending.clear();
-        // Closing the handle releases the lock.
         Ok(())
     }
-}
-
-/// Truncates a torn final line (no trailing newline) off the log.
-///
-/// Called under the exclusive flush lock: any live writer finishes its whole batch —
-/// trailing newline included — before releasing the lock, so a non-newline tail can only
-/// be the leftover of a crashed writer and is safe to drop (its record was never
-/// observable as complete).
-fn truncate_torn_tail(file: &mut std::fs::File) -> std::io::Result<()> {
-    const CHUNK: u64 = 64 * 1024;
-    let len = file.metadata()?.len();
-    let mut scanned = 0u64;
-    // Scan backwards for the last newline; keep everything up to and including it.
-    while scanned < len {
-        let chunk = CHUNK.min(len - scanned);
-        file.seek(SeekFrom::Start(len - scanned - chunk))?;
-        let mut buf = vec![0u8; chunk as usize];
-        file.read_exact(&mut buf)?;
-        if scanned == 0 && buf.last() == Some(&b'\n') {
-            return Ok(());
-        }
-        if let Some(pos) = buf.iter().rposition(|&b| b == b'\n') {
-            file.set_len(len - scanned - chunk + pos as u64 + 1)?;
-            return Ok(());
-        }
-        scanned += chunk;
-    }
-    // No newline anywhere: the whole file is one torn line (or empty).
-    file.set_len(0)?;
-    Ok(())
 }
 
 impl SimulationCache for DiskSimCache {
