@@ -11,18 +11,16 @@ use serde::{Deserialize, Serialize};
 use slic_bayes::{ConditionResidual, HistoricalDatabase, HistoricalRecord, TimingMetric};
 use slic_cells::{Cell, Library, TimingArc};
 use slic_device::{ProcessSample, TechnologyNode};
-use slic_spice::{
-    CharacterizationEngine, MixedLane, SimulationCache, SimulationCounter, TransientConfig,
-};
+use slic_spice::{CharacterizationEngine, LaneSet, TransientConfig};
 use slic_timing_model::{LeastSquaresFitter, TimingSample};
-use std::sync::Arc;
 
 /// Configuration of the historical learning pass.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HistoricalLearningConfig {
     /// Reference grid shape `(Sin levels, Cload levels, Vdd levels)` simulated per arc.
     pub grid_levels: (usize, usize, usize),
-    /// Transient solver settings used for the historical simulations.
+    /// Transient solver settings of the engine [`HistoricalLearner::learn`] builds
+    /// ([`HistoricalLearner::learn_on`] uses its engine's own settings).
     pub transient: TransientConfig,
 }
 
@@ -63,7 +61,7 @@ impl HistoricalLearner {
     }
 
     /// Characterizes every (technology, cell, primary arc, metric) combination and archives
-    /// the fits.
+    /// the fits, on a fresh engine with the configured transient settings.
     ///
     /// # Panics
     ///
@@ -73,64 +71,47 @@ impl HistoricalLearner {
         technologies: &[TechnologyNode],
         library: &Library,
     ) -> HistoricalLearningResult {
-        self.learn_shared(technologies, library, &SimulationCounter::new(), None)
+        assert!(!library.is_empty(), "cannot learn from an empty library");
+        let Some(first) = technologies.first() else {
+            return HistoricalLearningResult {
+                database: HistoricalDatabase::new(),
+                simulation_cost: 0,
+            };
+        };
+        let engine = CharacterizationEngine::with_config(first.clone(), self.config.transient)
+            .expect("historical learning transient configuration must be valid");
+        self.learn_on(&engine, technologies, library)
     }
 
-    /// As [`learn`](Self::learn), but every per-technology engine shares `counter` (and the
-    /// optional simulation `cache`), so a library-scale pipeline aggregates the cost of its
-    /// learning stage into the same total as its characterization stage.
+    /// As [`learn`](Self::learn), but on `engine` rebound to each historical technology
+    /// ([`CharacterizationEngine::for_technology`]): its transient settings, counter,
+    /// cache, backend and dispatch counters all carry over, so a library-scale pipeline
+    /// pays and counts its learning stage in the same totals as its characterization
+    /// stage, on the same backend (a `slic-farm` fleet included).
     ///
     /// # Panics
     ///
-    /// Panics if the library is empty or the configured transient settings are invalid.
-    pub fn learn_shared(
+    /// Panics if the library is empty.
+    pub fn learn_on(
         &self,
+        engine: &CharacterizationEngine,
         technologies: &[TechnologyNode],
         library: &Library,
-        counter: &SimulationCounter,
-        cache: Option<Arc<dyn SimulationCache>>,
-    ) -> HistoricalLearningResult {
-        self.learn_shared_with_backend(technologies, library, counter, cache, None)
-    }
-
-    /// As [`learn_shared`](Self::learn_shared), with the per-technology engines also
-    /// routing their solves through `backend` (e.g. a `slic-farm` fleet) — so a farmed
-    /// pipeline distributes its learning stage exactly like its characterization stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the library is empty or the configured transient settings are invalid.
-    pub fn learn_shared_with_backend(
-        &self,
-        technologies: &[TechnologyNode],
-        library: &Library,
-        counter: &SimulationCounter,
-        cache: Option<Arc<dyn SimulationCache>>,
-        backend: Option<Arc<dyn slic_spice::SimulationBackend>>,
     ) -> HistoricalLearningResult {
         assert!(!library.is_empty(), "cannot learn from an empty library");
         let mut database = HistoricalDatabase::new();
         let mut simulation_cost = 0u64;
         for tech in technologies {
-            let mut engine =
-                CharacterizationEngine::with_config(tech.clone(), self.config.transient)
-                    .expect("historical learning transient configuration must be valid")
-                    .with_shared_counter(counter.clone());
-            if let Some(cache) = &cache {
-                engine = engine.with_cache(cache.clone());
-            }
-            if let Some(backend) = &backend {
-                engine = engine.with_backend(backend.clone());
-            }
-            let cost_before = counter.count();
+            let engine = engine.for_technology(tech.clone());
+            let cost_before = engine.simulation_count();
             let grid = engine.input_space().lut_grid(
                 self.config.grid_levels.0,
                 self.config.grid_levels.1,
                 self.config.grid_levels.2,
             );
-            // One mega-batch of every (cell, arc, grid point) lane at the nominal
-            // corner: training a whole node costs one mixed worklist instead of one
-            // sweep per arc, so the batched kernel stays saturated across arcs.
+            // One worklist of every (cell, arc, grid point) lane at the nominal corner:
+            // training a whole node is one solve, so the batched kernel stays saturated
+            // across arcs.
             let nominal = ProcessSample::nominal();
             let arcs: Vec<(Cell, TimingArc)> = library
                 .cells()
@@ -141,12 +122,14 @@ impl HistoricalLearner {
                         .map(move |arc| (cell, arc))
                 })
                 .collect();
-            let lanes: Vec<MixedLane> = arcs
-                .iter()
-                .flat_map(|&(cell, arc)| grid.iter().map(move |p| (cell, arc, *p, nominal)))
-                .collect();
+            let mut lanes = LaneSet::new();
+            for &(cell, arc) in &arcs {
+                for point in &grid {
+                    lanes.push(cell, arc, *point, nominal);
+                }
+            }
             // One transient run per grid point yields both delay and slew.
-            let flat = engine.simulate_mixed(&lanes);
+            let flat = engine.solve(&lanes);
             let mut per_arc = flat.chunks(grid.len().max(1));
             for &(cell, arc) in &arcs {
                 let measurements = per_arc.next().expect("one measurement row per arc");
@@ -187,7 +170,7 @@ impl HistoricalLearner {
                     ));
                 }
             }
-            simulation_cost += counter.count() - cost_before;
+            simulation_cost += engine.simulation_count() - cost_before;
         }
         HistoricalLearningResult {
             database,

@@ -58,6 +58,44 @@ impl NominalLut {
     }
 }
 
+/// The index grid of a LUT: three axes whose Cartesian product is the set of simulated
+/// input points.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LutGrid {
+    /// Input-slew axis (seconds).
+    pub sin_axis: Vec<f64>,
+    /// Load-capacitance axis (farads).
+    pub cload_axis: Vec<f64>,
+    /// Supply axis (volts).
+    pub vdd_axis: Vec<f64>,
+}
+
+impl LutGrid {
+    /// Number of grid points.
+    pub fn len(&self) -> usize {
+        self.sin_axis.len() * self.cload_axis.len() * self.vdd_axis.len()
+    }
+
+    /// Whether the grid has no points.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every grid point, slew-major then load then supply — the value order of
+    /// [`Lut3d::from_values`].
+    pub fn points(&self) -> Vec<InputPoint> {
+        let mut points = Vec::with_capacity(self.len());
+        for &s in &self.sin_axis {
+            for &c in &self.cload_axis {
+                for &v in &self.vdd_axis {
+                    points.push(InputPoint::new(Seconds(s), Farads(c), Volts(v)));
+                }
+            }
+        }
+        points
+    }
+}
+
 /// A statistical table pair: mean and standard deviation of delay and slew per grid point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatisticalLut {
@@ -111,7 +149,9 @@ impl<'a> LutBuilder<'a> {
         &self.space
     }
 
-    fn axes(&self, levels: (usize, usize, usize)) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    /// The index grid of a LUT with `levels` = `(sin, cload, vdd)` axis levels, evenly
+    /// spaced over the builder's input space (a single level sits at the range centre).
+    pub fn grid(&self, levels: (usize, usize, usize)) -> LutGrid {
         let axis = |lo: f64, hi: f64, n: usize| -> Vec<f64> {
             if n == 1 {
                 vec![0.5 * (lo + hi)]
@@ -124,14 +164,45 @@ impl<'a> LutBuilder<'a> {
         let (slo, shi) = self.space.sin_range();
         let (clo, chi) = self.space.cload_range();
         let (vlo, vhi) = self.space.vdd_range();
-        (
-            axis(slo.value(), shi.value(), levels.0),
-            axis(clo.value(), chi.value(), levels.1),
-            axis(vlo.value(), vhi.value(), levels.2),
-        )
+        LutGrid {
+            sin_axis: axis(slo.value(), shi.value(), levels.0),
+            cload_axis: axis(clo.value(), chi.value(), levels.1),
+            vdd_axis: axis(vlo.value(), vhi.value(), levels.2),
+        }
     }
 
-    /// Builds a nominal LUT for one arc with an explicit grid shape.
+    /// Assembles a nominal LUT from one measurement per grid point, in
+    /// [`LutGrid::points`] order.  No simulation happens here, so the table's
+    /// `simulation_cost` is 0; [`build_nominal`](Self::build_nominal) fills in what it
+    /// paid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `measurements` does not hold exactly one entry per grid point.
+    pub fn from_measurements(grid: &LutGrid, measurements: &[TimingMeasurement]) -> NominalLut {
+        assert_eq!(
+            measurements.len(),
+            grid.len(),
+            "a nominal LUT needs one measurement per grid point"
+        );
+        let table = |pick: fn(&TimingMeasurement) -> f64| {
+            Lut3d::from_values(
+                grid.sin_axis.clone(),
+                grid.cload_axis.clone(),
+                grid.vdd_axis.clone(),
+                measurements.iter().map(pick).collect(),
+            )
+        };
+        NominalLut {
+            delay: table(|m| m.delay.value()),
+            slew: table(|m| m.output_slew.value()),
+            simulation_cost: 0,
+        }
+    }
+
+    /// Builds a nominal LUT for one arc with an explicit grid shape: the grid's points
+    /// are swept through the engine and assembled by
+    /// [`from_measurements`](Self::from_measurements).
     pub fn build_nominal(
         &self,
         cell: Cell,
@@ -139,28 +210,11 @@ impl<'a> LutBuilder<'a> {
         levels: (usize, usize, usize),
     ) -> NominalLut {
         let before = self.engine.simulation_count();
-        let (sin_axis, cload_axis, vdd_axis) = self.axes(levels);
-        let mut delays = Vec::new();
-        let mut slews = Vec::new();
-        for &s in &sin_axis {
-            for &c in &cload_axis {
-                for &v in &vdd_axis {
-                    let point = InputPoint::new(Seconds(s), Farads(c), Volts(v));
-                    let m = self.engine.simulate_nominal(cell, arc, &point);
-                    delays.push(m.delay.value());
-                    slews.push(m.output_slew.value());
-                }
-            }
-        }
+        let grid = self.grid(levels);
+        let measurements = self.engine.sweep_nominal(cell, arc, &grid.points());
         NominalLut {
-            delay: Lut3d::from_values(
-                sin_axis.clone(),
-                cload_axis.clone(),
-                vdd_axis.clone(),
-                delays,
-            ),
-            slew: Lut3d::from_values(sin_axis, cload_axis, vdd_axis, slews),
             simulation_cost: self.engine.simulation_count() - before,
+            ..Self::from_measurements(&grid, &measurements)
         }
     }
 
@@ -188,25 +242,25 @@ impl<'a> LutBuilder<'a> {
             "statistical LUT needs at least one process seed"
         );
         let before = self.engine.simulation_count();
-        let (sin_axis, cload_axis, vdd_axis) = self.axes(levels);
+        let grid = self.grid(levels);
         let mut mean_d = Vec::new();
         let mut std_d = Vec::new();
         let mut mean_s = Vec::new();
         let mut std_s = Vec::new();
-        for &s in &sin_axis {
-            for &c in &cload_axis {
-                for &v in &vdd_axis {
-                    let point = InputPoint::new(Seconds(s), Farads(c), Volts(v));
-                    let ensemble = self.engine.monte_carlo(cell, arc, &point, seeds);
-                    let delays: Vec<f64> = ensemble.iter().map(|m| m.delay.value()).collect();
-                    let slews: Vec<f64> = ensemble.iter().map(|m| m.output_slew.value()).collect();
-                    mean_d.push(moments::mean(&delays));
-                    std_d.push(moments::std_dev(&delays));
-                    mean_s.push(moments::mean(&slews));
-                    std_s.push(moments::std_dev(&slews));
-                }
-            }
+        for point in grid.points() {
+            let ensemble = self.engine.monte_carlo(cell, arc, &point, seeds);
+            let delays: Vec<f64> = ensemble.iter().map(|m| m.delay.value()).collect();
+            let slews: Vec<f64> = ensemble.iter().map(|m| m.output_slew.value()).collect();
+            mean_d.push(moments::mean(&delays));
+            std_d.push(moments::std_dev(&delays));
+            mean_s.push(moments::mean(&slews));
+            std_s.push(moments::std_dev(&slews));
         }
+        let LutGrid {
+            sin_axis,
+            cload_axis,
+            vdd_axis,
+        } = grid;
         StatisticalLut {
             mean_delay: Lut3d::from_values(
                 sin_axis.clone(),

@@ -27,5 +27,5 @@
 pub mod builder;
 pub mod table;
 
-pub use builder::{grid_levels_for_budget, LutBuilder, NominalLut, StatisticalLut};
+pub use builder::{grid_levels_for_budget, LutBuilder, LutGrid, NominalLut, StatisticalLut};
 pub use table::Lut3d;

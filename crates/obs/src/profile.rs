@@ -124,8 +124,9 @@ pub struct WorkerRow {
     pub utilization_pct: f64,
 }
 
-/// Cache effectiveness, read from the end-of-run `metrics` event (with the raw
-/// solve-batch span attrs as a fallback for partial traces).
+/// Cache effectiveness, read from the end-of-run `metrics` event (with the raw `solve`
+/// span attrs — or, in older traces, the `solve_batch` ones — as a fallback for partial
+/// traces).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheReport {
     pub hits: u64,
@@ -283,17 +284,31 @@ pub fn build_report(parsed: &ParsedTrace, top_n: usize) -> ProfileReport {
         report.cache.lookup_histogram =
             attr(metrics, "cache.lookup.hit_lanes").and_then(Histogram::decode);
     } else {
-        for record in records
-            .iter()
-            .filter(|r| r.kind == RecordKind::Span && r.name == "solve_batch")
-        {
-            let lanes = |key: &str| {
-                attr(record, key)
-                    .and_then(|value| value.parse::<u64>().ok())
-                    .unwrap_or(0)
-            };
-            report.cache.hits += lanes("cached");
-            report.cache.misses += lanes("lanes").saturating_sub(lanes("cached"));
+        let count = |record: &TraceRecord, key: &str| {
+            attr(record, key)
+                .and_then(|value| value.parse::<u64>().ok())
+                .unwrap_or(0)
+        };
+        let spans = |name: &'static str| {
+            records
+                .iter()
+                .filter(move |r| r.kind == RecordKind::Span && r.name == name)
+        };
+        // A `solve` span carries its call's request total and its batches the lanes they
+        // paid for; traces from builds without `solve` spans count per batch.
+        let requests: u64 = spans("solve").map(|record| count(record, "requests")).sum();
+        if requests > 0 {
+            let paid: u64 = spans("solve_batch")
+                .map(|record| count(record, "claimed"))
+                .sum();
+            report.cache.hits = requests.saturating_sub(paid);
+            report.cache.misses = paid;
+        } else {
+            for record in spans("solve_batch") {
+                report.cache.hits += count(record, "cached");
+                report.cache.misses +=
+                    count(record, "lanes").saturating_sub(count(record, "cached"));
+            }
         }
     }
     let looked_up = report.cache.hits + report.cache.misses;
@@ -601,6 +616,33 @@ mod tests {
         let report = build_report(&parse_trace(&line), 5);
         assert_eq!(report.cache.hits, 2);
         assert_eq!(report.cache.misses, 6);
+    }
+
+    #[test]
+    fn cache_falls_back_to_solve_span_totals_without_a_metrics_event() {
+        let lines = [
+            span_line(1, None, "solve", 0, 50, "\"requests\":\"20\""),
+            span_line(
+                2,
+                Some(1),
+                "solve_batch",
+                5,
+                10,
+                "\"lanes\":\"8\",\"cached\":\"1\",\"claimed\":\"7\"",
+            ),
+            span_line(
+                3,
+                Some(1),
+                "solve_batch",
+                20,
+                10,
+                "\"lanes\":\"1\",\"cached\":\"0\",\"claimed\":\"1\"",
+            ),
+            span_line(4, None, "solve", 60, 50, "\"requests\":\"4\""),
+        ];
+        let report = build_report(&parse_trace(&lines.join("\n")), 5);
+        assert_eq!(report.cache.hits, 16);
+        assert_eq!(report.cache.misses, 8);
     }
 
     #[test]

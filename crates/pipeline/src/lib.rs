@@ -12,9 +12,10 @@
 //!    partitions them into disjoint shards (stable by `(arc, metric, method)`) for
 //!    distributed execution;
 //! 3. **Learn** — [`PipelineRunner::learn`] archives compact-model fits of the historical
-//!    nodes (reusing `slic::historical` with the run's shared counter and cache);
-//! 4. **Characterize** — [`PipelineRunner::characterize`] executes the units in parallel
-//!    (rayon) against one shared engine: every transient goes through one
+//!    nodes (reusing `slic::historical` on the run's engine, counter and cache);
+//! 4. **Characterize** — [`PipelineRunner::characterize`] enumerates every transient the
+//!    units request, solves them in one engine call, then fits the units in parallel
+//!    (rayon) from the solved table: every transient goes through one
 //!    [`SimulationCounter`](slic_spice::SimulationCounter) and one
 //!    [`SimulationCache`](slic_spice::SimulationCache) — in-memory by default, or a
 //!    [`DiskSimCache`](slic_spice::DiskSimCache) (`cache` config key) whose warm state

@@ -1,5 +1,22 @@
-//! The parallel pipeline runner: one shared engine, counter and cache; work units executed
-//! with rayon; results streamed into a [`RunArtifact`].
+//! The parallel pipeline runner: one shared engine, counter and cache; results assembled
+//! into a [`RunArtifact`].
+//!
+//! [`PipelineRunner::characterize`] runs a plan in three phases:
+//!
+//! 1. **Enumerate** — every transient every unit requests goes into one compact
+//!    [`LaneSet`]: the validation and training points of each nominal unit (shared per
+//!    arc through [`WorkUnit::sampling_seed`]), the LUT grid of
+//!    `grid_levels_for_budget(k)`, and each Monte Carlo unit's export grid under every
+//!    process seed.  Units that want the same transients share one table of lanes and
+//!    declare extra requests on it.
+//! 2. **Solve** — one [`CharacterizationEngine::solve`] call deduplicates the set by
+//!    cache key and pays the missing keys in full-quad batches on one flat worker pool.
+//! 3. **Fit** — a `par_iter` over units runs the MAP, LSE and LUT fits and the Monte
+//!    Carlo moment reduction from the solved table; no unit solves or touches the cache.
+//!
+//! Historical learning ([`PipelineRunner::learn`]) runs on the same engine rebound to
+//! each historical node, so its lanes pay into the same counter, cache and dispatch
+//! counters.
 
 use crate::artifact::{
     CharacterizedLibrary, RunArtifact, UnitResult, VariationSection, SCHEMA_VERSION,
@@ -15,12 +32,13 @@ use slic::nominal::MethodKind;
 use slic_bayes::{
     HistoricalDatabase, MapExtractor, PrecisionConfig, PrecisionModel, PriorBuilder, TimingMetric,
 };
-use slic_cells::CellKind;
-use slic_lut::LutBuilder;
+use slic_cells::{CellKind, TimingArc};
+use slic_device::ProcessSample;
+use slic_lut::{grid_levels_for_budget, LutBuilder, LutGrid};
 use slic_obs::Observability;
 use slic_spice::{
-    CharacterizationEngine, DiskSimCache, InMemorySimCache, SimulationBackend, SimulationCache,
-    SimulationCounter,
+    CharacterizationEngine, DiskSimCache, InMemorySimCache, InputPoint, LaneSet, SimulationBackend,
+    SimulationCache, SimulationCounter, TimingMeasurement,
 };
 use slic_stats::distance::mean_relative_error_percent;
 use slic_timing_model::{LeastSquaresFitter, TimingSample};
@@ -28,14 +46,15 @@ use slic_variation::{VariationExtractor, VariationTable};
 // BTreeMap (not HashMap) everywhere a collection can feed an artifact: iteration order
 // must be process-independent (lint rule D1).
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Executes characterization plans against one target technology.
 ///
 /// All stages — historical learning, per-unit characterization, validation — run through a
-/// single [`CharacterizationEngine`] clone family sharing one [`SimulationCounter`] and one
-/// [`SimulationCache`], so the artifact reports one true cost total and repeated
-/// coordinates are simulated once.
+/// single [`CharacterizationEngine`] clone family sharing one [`SimulationCounter`], one
+/// [`SimulationCache`] and one set of dispatch counters, so the artifact reports one true
+/// cost total and repeated coordinates are simulated once.
 pub struct PipelineRunner {
     config: ResolvedConfig,
     engine: CharacterizationEngine,
@@ -175,8 +194,9 @@ impl PipelineRunner {
         &self.cache
     }
 
-    /// Runs the historical learning stage over the configured historical nodes, through
-    /// the shared counter and cache.
+    /// Runs the historical learning stage over the configured historical nodes on the
+    /// runner's engine ([`HistoricalLearner::learn_on`]): the shared counter, cache,
+    /// backend and dispatch counters all apply.
     pub fn learn(&self) -> HistoricalLearningResult {
         let _span = self.obs.trace.span(
             "learn",
@@ -186,18 +206,14 @@ impl PipelineRunner {
             grid_levels: self.config.profile.learning_grid(),
             transient: self.config.transient,
         });
-        learner.learn_shared_with_backend(
-            &self.config.historical,
-            &self.config.library,
-            &self.counter,
-            Some(self.cache.clone()),
-            Some(self.engine.backend().clone()),
-        )
+        learner.learn_on(&self.engine, &self.config.historical, &self.config.library)
     }
 
-    /// Executes every unit of `plan` in parallel against `database` and assembles the run
-    /// artifact.  Units (and variation tables) are recorded in canonical identity order,
-    /// so a merged shard set is bit-identical to the single-process artifact.
+    /// Executes every unit of `plan` against `database` in three phases and assembles the
+    /// run artifact: **enumerate** every request of every unit into one [`LaneSet`],
+    /// **solve** it in one engine call, then **fit** the units in parallel from the
+    /// solved table.  Units (and variation tables) are recorded in canonical identity
+    /// order, so a merged shard set is bit-identical to the single-process artifact.
     ///
     /// # Errors
     ///
@@ -214,23 +230,18 @@ impl PipelineRunner {
             .trace
             .span("characterize", &[("units", plan.units().len().to_string())]);
         let extractors = self.build_extractors(plan, database)?;
-        if plan.units().iter().any(|u| u.kind == UnitKind::MonteCarlo)
-            && self.config.variation.is_none()
-        {
-            return Err(PipelineError::config(
-                "the plan contains Monte Carlo units but the runner's configuration has \
-                 no variation section; enumerate the plan from the same resolved config \
-                 the runner was built with",
-            ));
-        }
+        let variation = self.variation_grid(plan)?;
+        let lanes = self.enumerate(plan, variation.as_ref());
+        let solved = self.engine.solve(&lanes.set);
         // Unit spans run on rayon worker threads, where the root is not on the local
         // span stack — parent them explicitly so the profile tree stays connected.
         let root_id = root.id();
         self.obs.progress.begin(plan.units().len() as u64);
-        let outcomes: Vec<Result<(UnitResult, Option<VariationTable>), PipelineError>> = plan
-            .units()
+        let outcomes: Vec<Result<(UnitResult, Option<VariationTable>), PipelineError>> = lanes
+            .units
             .par_iter()
-            .map(|unit| {
+            .map(|unit_lanes| {
+                let unit = unit_lanes.unit;
                 let _span = self.obs.trace.span_under(
                     root_id,
                     "unit",
@@ -241,7 +252,8 @@ impl PipelineRunner {
                         ("method", format!("{:?}", unit.method)),
                     ],
                 );
-                let outcome = self.run_unit(unit, &extractors);
+                let outcome =
+                    self.fit_unit(unit_lanes, &lanes, &solved, &extractors, variation.as_ref());
                 // Absolute totals, not deltas: the shared counters already aggregate
                 // across threads.
                 self.obs
@@ -343,45 +355,201 @@ impl PipelineRunner {
         Ok(extractors)
     }
 
-    /// Executes one work unit.  Nominal units sample, simulate (through the shared
-    /// cache), fit and validate; Monte Carlo units sweep the export grid under every
-    /// process seed and reduce to a moment table.
-    fn run_unit(
+    /// The export grid and seed set of the run's Monte Carlo units, or `None` when the
+    /// plan has none.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PipelineError::Config`] when the plan has Monte Carlo units but the
+    /// configuration has no variation section, or the section does not validate.
+    fn variation_grid(
         &self,
-        unit: &WorkUnit,
-        extractors: &BTreeMap<(CellKind, TimingMetric), MapExtractor>,
-    ) -> Result<(UnitResult, Option<VariationTable>), PipelineError> {
-        if unit.kind == UnitKind::MonteCarlo {
-            return self.run_variation_unit(unit);
+        plan: &CharacterizationPlan,
+    ) -> Result<Option<VariationGrid<'_>>, PipelineError> {
+        if !plan.units().iter().any(|u| u.kind == UnitKind::MonteCarlo) {
+            return Ok(None);
         }
+        let config = self.config.variation.clone().ok_or_else(|| {
+            PipelineError::config(
+                "the plan contains Monte Carlo units but the runner's configuration has \
+                 no variation section; enumerate the plan from the same resolved config \
+                 the runner was built with",
+            )
+        })?;
+        let (slew_axis, load_axis) =
+            slic::liberty::export_axes(&self.engine, self.config.export_grid);
+        let extractor = VariationExtractor::new(&self.engine, config)
+            .map_err(|err| PipelineError::config(format!("invalid variation config: {err}")))?;
+        let points = extractor.points(&slew_axis, &load_axis);
+        Ok(Some(VariationGrid {
+            extractor,
+            slew_axis,
+            load_axis,
+            points,
+        }))
+    }
+
+    /// Phase 1: lists every transient each unit requests, in the order its fit reads
+    /// them.  Nominal units request their validation points, then their training points
+    /// (Bayesian/LSE) or the LUT grid of `grid_levels_for_budget(k)` (LUT); Monte Carlo
+    /// units request every export-grid point under every process seed.  Units that want
+    /// the same transients — the delay and slew units of one arc, or the methods sharing
+    /// an arc's sampling seed — share one table of lanes and declare extra requests on
+    /// it, so the solve pays each once and still counts every request.
+    fn enumerate<'p>(
+        &self,
+        plan: &'p CharacterizationPlan,
+        variation: Option<&VariationGrid<'_>>,
+    ) -> EnumeratedLanes<'p> {
         let k = self.config.training_count;
         let v = self.config.validation_points;
         let space = self.engine.input_space();
-        let mut rng = StdRng::seed_from_u64(unit.sampling_seed(self.config.seed));
-        let training_points = space.sample_latin_hypercube(&mut rng, k);
-        let validation_points = space.sample_uniform(&mut rng, v);
-        let nominal = slic_device::ProcessSample::nominal();
+        let nominal = ProcessSample::nominal();
+        let mut set = LaneSet::new();
+        let mut tables = BTreeMap::new();
+        let mut lut_grid = None;
+        let units = plan
+            .units()
+            .iter()
+            .map(|unit| {
+                let mut table = |kind, seed, lanes: &mut dyn Iterator<Item = _>| {
+                    shared_table(&mut set, &mut tables, (kind, unit.arc, seed), unit, lanes)
+                };
+                if unit.kind == UnitKind::MonteCarlo {
+                    let fit = match variation {
+                        Some(grid) => table(
+                            Table::MonteCarlo,
+                            0,
+                            &mut grid.points.iter().flat_map(|&point| {
+                                grid.extractor
+                                    .seeds()
+                                    .iter()
+                                    .map(move |&seed| (point, seed))
+                            }),
+                        ),
+                        None => 0..0,
+                    };
+                    return UnitLanes {
+                        unit,
+                        validation: 0..0,
+                        fit,
+                    };
+                }
+                let seed = unit.sampling_seed(self.config.seed);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let training = space.sample_latin_hypercube(&mut rng, k);
+                let validation = space.sample_uniform(&mut rng, v);
+                let validation = table(
+                    Table::Validation,
+                    seed,
+                    &mut validation.into_iter().map(|p| (p, nominal)),
+                );
+                let fit = match unit.method {
+                    MethodKind::ProposedBayesian | MethodKind::ProposedLse => table(
+                        Table::Training,
+                        seed,
+                        &mut training.into_iter().map(|p| (p, nominal)),
+                    ),
+                    MethodKind::Lut => {
+                        let grid: &LutGrid = lut_grid.get_or_insert_with(|| {
+                            LutBuilder::new(&self.engine).grid(grid_levels_for_budget(k))
+                        });
+                        table(
+                            Table::LutGrid,
+                            0,
+                            &mut grid.points().into_iter().map(|p| (p, nominal)),
+                        )
+                    }
+                };
+                UnitLanes {
+                    unit,
+                    validation,
+                    fit,
+                }
+            })
+            .collect();
+        EnumeratedLanes {
+            set,
+            units,
+            lut_grid,
+        }
+    }
 
-        let reference: Vec<f64> = self
-            .engine
-            .sweep_nominal(unit.cell, &unit.arc, &validation_points)
+    /// Phase 3: fits one unit from the solved table — MAP, LSE or LUT for a nominal unit
+    /// (validated against its validation points), the moment reduction for a Monte Carlo
+    /// unit.  Makes no solve and no cache call.
+    fn fit_unit(
+        &self,
+        lanes: &UnitLanes<'_>,
+        enumerated: &EnumeratedLanes<'_>,
+        solved: &[TimingMeasurement],
+        extractors: &BTreeMap<(CellKind, TimingMetric), MapExtractor>,
+        variation: Option<&VariationGrid<'_>>,
+    ) -> Result<(UnitResult, Option<VariationTable>), PipelineError> {
+        let unit = lanes.unit;
+        let measurements = |range: &Range<u32>| -> Vec<TimingMeasurement> {
+            range.clone().map(|lane| solved[lane as usize]).collect()
+        };
+        let points = |range: &Range<u32>| -> Vec<InputPoint> {
+            range
+                .clone()
+                .map(|lane| enumerated.set.lane(lane).2)
+                .collect()
+        };
+        let result =
+            |params, training_count, validation_points, error_percent, requested| UnitResult {
+                arc_id: unit.arc.id(),
+                arc: unit.arc,
+                metric: unit.metric,
+                method: unit.method,
+                kind: unit.kind,
+                params,
+                training_count,
+                validation_points,
+                error_percent,
+                requested_simulations: requested,
+            };
+        if unit.kind == UnitKind::MonteCarlo {
+            let grid = variation.ok_or_else(|| {
+                PipelineError::config(
+                    "Monte Carlo unit reached the runner without a variation config; \
+                     characterize() should have rejected the plan",
+                )
+            })?;
+            let table = grid.extractor.reduce(
+                &unit.arc,
+                unit.metric,
+                &grid.slew_axis,
+                &grid.load_axis,
+                &measurements(&lanes.fit),
+            );
+            let requested = grid
+                .extractor
+                .requested_simulations(grid.slew_axis.len(), grid.load_axis.len());
+            return Ok((
+                result(None, 0, 0, table.mean_cv_percent(), requested),
+                Some(table),
+            ));
+        }
+
+        let k = self.config.training_count;
+        let v = self.config.validation_points;
+        let nominal = ProcessSample::nominal();
+        let validation_points = points(&lanes.validation);
+        let reference: Vec<f64> = measurements(&lanes.validation)
             .iter()
             .map(|m| unit.metric.pick(m))
             .collect();
-
         let (params, predictions) = match unit.method {
             MethodKind::ProposedBayesian | MethodKind::ProposedLse => {
-                let measurements =
-                    self.engine
-                        .sweep_nominal(unit.cell, &unit.arc, &training_points);
-                let samples: Vec<TimingSample> = training_points
-                    .iter()
-                    .zip(&measurements)
+                let samples: Vec<TimingSample> = points(&lanes.fit)
+                    .into_iter()
+                    .zip(measurements(&lanes.fit))
                     .map(|(p, m)| {
                         TimingSample::new(
-                            *p,
-                            self.engine.ieff(&unit.arc, p, &nominal),
-                            slic_units::Seconds(unit.metric.pick(m)),
+                            p,
+                            self.engine.ieff(&unit.arc, &p, &nominal),
+                            slic_units::Seconds(unit.metric.pick(&m)),
                         )
                     })
                     .collect();
@@ -412,82 +580,103 @@ impl PipelineRunner {
                 (Some(params), predictions)
             }
             MethodKind::Lut => {
-                let lut = LutBuilder::new(&self.engine)
-                    .build_nominal_with_budget(unit.cell, &unit.arc, k);
+                let grid = enumerated.lut_grid.as_ref().ok_or_else(|| {
+                    PipelineError::config("a LUT unit was fitted without an enumerated grid")
+                })?;
+                let lut = LutBuilder::from_measurements(grid, &measurements(&lanes.fit));
                 let predictions: Vec<f64> = validation_points
                     .iter()
-                    .map(|p| {
-                        let m = lut.predict(p);
-                        unit.metric.pick(&m)
-                    })
+                    .map(|p| unit.metric.pick(&lut.predict(p)))
                     .collect();
                 (None, predictions)
             }
         };
-
         Ok((
-            UnitResult {
-                arc_id: unit.arc.id(),
-                arc: unit.arc,
-                metric: unit.metric,
-                method: unit.method,
-                kind: unit.kind,
+            result(
                 params,
-                training_count: k,
-                validation_points: v,
-                error_percent: mean_relative_error_percent(&predictions, &reference),
-                requested_simulations: (k + v) as u64,
-            },
+                k,
+                v,
+                mean_relative_error_percent(&predictions, &reference),
+                (k + v) as u64,
+            ),
             None,
         ))
     }
+}
 
-    /// Executes one Monte Carlo variation unit: every export-grid point under every
-    /// process seed (through the shared backend/counter/cache, so farm fleets, disk
-    /// caches and single-flight dedup all apply per `(seed, point)` coordinate), reduced
-    /// to a mean/sigma/skew [`VariationTable`] on the nominal tables' index grid.
-    fn run_variation_unit(
-        &self,
-        unit: &WorkUnit,
-    ) -> Result<(UnitResult, Option<VariationTable>), PipelineError> {
-        let config = self.config.variation.clone().ok_or_else(|| {
-            PipelineError::config(
-                "Monte Carlo unit reached the runner without a variation config; \
-                 characterize() should have rejected the plan",
-            )
-        })?;
-        let (slew_axis, load_axis) =
-            slic::liberty::export_axes(&self.engine, self.config.export_grid);
-        let extractor = VariationExtractor::new(&self.engine, config)
-            .map_err(|err| PipelineError::config(format!("invalid variation config: {err}")))?;
-        let requested = extractor.requested_simulations(slew_axis.len(), load_axis.len());
-        let table = extractor.extract(unit.cell, &unit.arc, unit.metric, &slew_axis, &load_axis);
-        Ok((
-            UnitResult {
-                arc_id: unit.arc.id(),
-                arc: unit.arc,
-                metric: unit.metric,
-                method: unit.method,
-                kind: unit.kind,
-                params: None,
-                training_count: 0,
-                validation_points: 0,
-                error_percent: table.mean_cv_percent(),
-                requested_simulations: requested,
-            },
-            Some(table),
-        ))
+/// The Monte Carlo side of a run: the seed set, the export index grid every variation
+/// unit is simulated and reduced over, and that grid's points.
+struct VariationGrid<'e> {
+    extractor: VariationExtractor<'e>,
+    slew_axis: Vec<f64>,
+    load_axis: Vec<f64>,
+    points: Vec<InputPoint>,
+}
+
+/// A kind of lane table units can share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Table {
+    /// An arc's validation points at one sampling seed.
+    Validation,
+    /// An arc's training points at one sampling seed.
+    Training,
+    /// An arc's LUT grid.
+    LutGrid,
+    /// An arc's export grid under every process seed.
+    MonteCarlo,
+}
+
+/// Where one unit's requests sit in the run's [`LaneSet`], in the order its fit reads
+/// them.
+struct UnitLanes<'p> {
+    unit: &'p WorkUnit,
+    /// Validation lanes (empty for Monte Carlo units).
+    validation: Range<u32>,
+    /// Training lanes (Bayesian/LSE), LUT grid lanes (LUT), or grid point × seed lanes
+    /// (Monte Carlo, point-major).
+    fit: Range<u32>,
+}
+
+/// Phase 1's output: every request of the plan, and where each unit's sit.
+struct EnumeratedLanes<'p> {
+    set: LaneSet,
+    units: Vec<UnitLanes<'p>>,
+    /// The LUT grid, when the plan has LUT units.
+    lut_grid: Option<LutGrid>,
+}
+
+/// The lanes of table `key`: pushed for `unit` on first use, re-requested by every later
+/// unit that asks for the same table.
+fn shared_table(
+    set: &mut LaneSet,
+    tables: &mut BTreeMap<(Table, TimingArc, u64), Range<u32>>,
+    key: (Table, TimingArc, u64),
+    unit: &WorkUnit,
+    lanes: &mut dyn Iterator<Item = (InputPoint, ProcessSample)>,
+) -> Range<u32> {
+    if let Some(range) = tables.get(&key) {
+        for lane in range.clone() {
+            set.request(lane);
+        }
+        return range.clone();
     }
+    let start = set.len() as u32;
+    for (point, seed) in lanes {
+        set.push(unit.cell, unit.arc, point, seed);
+    }
+    let range = start..set.len() as u32;
+    tables.insert(key, range.clone());
+    range
 }
 
 /// Metric-selection helper shared by the runner stages.
 trait MetricPick {
     /// The metric's value out of a measurement, in seconds.
-    fn pick(&self, m: &slic_spice::TimingMeasurement) -> f64;
+    fn pick(&self, m: &TimingMeasurement) -> f64;
 }
 
 impl MetricPick for TimingMetric {
-    fn pick(&self, m: &slic_spice::TimingMeasurement) -> f64 {
+    fn pick(&self, m: &TimingMeasurement) -> f64 {
         match self {
             TimingMetric::Delay => m.delay.value(),
             TimingMetric::OutputSlew => m.output_slew.value(),

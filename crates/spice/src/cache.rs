@@ -84,6 +84,13 @@ fn key_bits(value: f64) -> u64 {
         !value.is_nan(),
         "NaN is not a valid simulation-cache coordinate"
     );
+    fold_zero_bits(value)
+}
+
+/// The bit pattern of `value` with negative zero folded onto positive zero — the
+/// coordinate identity shared by [`SimKey`] and the lane tables of a
+/// [`LaneSet`](crate::lanes::LaneSet).
+pub(crate) fn fold_zero_bits(value: f64) -> u64 {
     // slic-lint: allow(F1) -- exact IEEE 754 `-0.0 == 0.0` is the fold being implemented; a tolerance would alias distinct coordinates.
     if value == 0.0 {
         0.0f64.to_bits()

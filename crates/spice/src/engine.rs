@@ -7,6 +7,10 @@
 //! 2. sweeps over many input conditions for a fixed process seed (the `.ALTER` loop), and
 //! 3. Monte Carlo ensembles over process seeds at fixed input conditions.
 //!
+//! Sweeps and ensembles are thin wrappers over one worklist entry point,
+//! [`CharacterizationEngine::solve`], which takes a compact [`LaneSet`], deduplicates it
+//! by cache key and pays the missing keys in full-quad batches on one flat worker pool.
+//!
 //! Every transient simulation increments a shared [`SimulationCounter`].  The paper's
 //! reported speedups are ratios of simulation counts at equal accuracy, so the counter is
 //! the basis of all cost accounting in `slic-core` and the benches.
@@ -14,38 +18,36 @@
 use crate::backend::{LocalBackend, SimRequest, SimulationBackend};
 use crate::cache::{SimKey, SimulationCache};
 use crate::input::{InputPoint, InputSpace};
+use crate::lanes::LaneSet;
 use crate::measure::TimingMeasurement;
 use crate::transient::TransientConfig;
 use rayon::prelude::*;
 use slic_cells::{Cell, EquivalentInverter, TimingArc};
 use slic_device::{ProcessSample, TechnologyNode};
 use slic_obs::metrics::{LANE_BUCKETS, LATENCY_BUCKETS_NS};
-use slic_obs::Observability;
-use slic_units::Amperes;
+use slic_obs::{Observability, SpanGuard};
+use slic_units::{Amperes, Seconds};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// One batched-simulation request: an input point under one process seed.
-type Lane = (InputPoint, ProcessSample);
-
 /// One fully-specified lane of a mixed worklist: cell, arc, input point and process seed.
-///
-/// Mixed lanes let callers batch across *everything* that varies — arcs, grid points and
-/// seeds — into one kernel worklist, instead of issuing one batch per arc or per seed.
 pub type MixedLane = (Cell, TimingArc, InputPoint, ProcessSample);
 
-/// Lanes per batched-kernel call when a lane list is fanned out across worker threads:
-/// small enough that chunk count keeps every core busy, large enough that the batched
-/// worklist amortizes setup.
-fn batch_width(lanes: usize) -> usize {
+/// Lanes per backend batch of a [`solve`](CharacterizationEngine::solve): a multiple of
+/// four so the SIMD kernel's quads fill, small enough that every worker has several
+/// batches to claim, and at most 16.
+fn quad_batch_width(lanes: usize) -> usize {
     let threads = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1);
-    lanes.div_ceil(4 * threads).clamp(1, 16)
+    lanes.div_ceil(4 * threads).next_multiple_of(4).clamp(4, 16)
 }
+
+/// Distinct cache keys per pass-1 lookup task of a [`solve`](CharacterizationEngine::solve).
+const LOOKUP_CHUNK: usize = 64;
 
 /// An invalid [`TransientConfig`] was supplied to an engine constructor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,10 +97,10 @@ impl SimulationCounter {
     }
 }
 
-/// Shared dispatch counters of one engine (and its clones): how batched lanes were
-/// resolved.  Every lane that enters batched dispatch lands in exactly one bucket, so
-/// `dispatched == cached + claimed + deferred` at any quiescent point — the invariant the
-/// post-run dispatch summary and the deferral regression tests check.
+/// Shared dispatch counters of one engine (and its clones): how the requests of every
+/// [`solve`](CharacterizationEngine::solve) were resolved.  Every request lands in exactly
+/// one bucket, so `dispatched == cached + claimed + deferred` at any quiescent point —
+/// the invariant the post-run dispatch summary and the deferral regression tests check.
 #[derive(Debug, Default)]
 struct DispatchCounters {
     dispatched: AtomicU64,
@@ -109,20 +111,19 @@ struct DispatchCounters {
 
 /// A point-in-time copy of an engine's dispatch counters.
 ///
-/// `lanes_deferred` counts lanes that arrived in a batch while another worker already
-/// held their coordinate in flight: they fall back to the scalar single-flight path
-/// (waiting on the owner, then reading the cache).  Before this counter existed those
-/// lanes bypassed batch accounting entirely, making dispatch summaries under-report
-/// contended cross-seed batches.
+/// `lanes_deferred` counts requests whose coordinate was already in flight — claimed by
+/// another caller, or by an earlier lane of the same solve — when they were dispatched:
+/// they wait for the owner's store and are then answered from the cache, so they are
+/// never paid twice.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchSnapshot {
-    /// Lanes submitted through batched dispatch.
+    /// Requests submitted through [`solve`](CharacterizationEngine::solve).
     pub lanes_dispatched: u64,
-    /// Lanes answered from the simulation cache without solving.
+    /// Requests answered from the simulation cache without solving.
     pub lanes_cached: u64,
-    /// Lanes this engine claimed and solved in a batched worklist.
+    /// Lanes this engine claimed and paid for in a batched worklist.
     pub lanes_claimed: u64,
-    /// Lanes deferred to the scalar path because their coordinate was in flight elsewhere.
+    /// Requests that waited on an in-flight claim of their coordinate.
     pub lanes_deferred: u64,
 }
 
@@ -174,6 +175,50 @@ impl Drop for BatchClaims<'_> {
             keys.remove(key);
         }
         self.inflight.done.notify_all();
+    }
+}
+
+/// The per-lane result table of one [`solve`](CharacterizationEngine::solve), written by
+/// whichever worker settles each lane.
+struct LaneResults {
+    table: Mutex<(Vec<TimingMeasurement>, usize)>,
+}
+
+impl LaneResults {
+    /// A table of `lanes` unset entries; the fill count proves each is overwritten.
+    fn new(lanes: usize) -> Self {
+        let unset = TimingMeasurement {
+            delay: Seconds(0.0),
+            output_slew: Seconds(0.0),
+        };
+        Self {
+            table: Mutex::new((vec![unset; lanes], 0)),
+        }
+    }
+
+    /// Writes each measurement to every lane of its group.
+    fn fill<'g>(&self, settled: impl IntoIterator<Item = (&'g [u32], TimingMeasurement)>) {
+        let mut table = self
+            .table
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        for (group, m) in settled {
+            for &lane in group {
+                table.0[lane as usize] = m;
+            }
+            table.1 += group.len();
+        }
+    }
+
+    /// The finished table.
+    fn into_values(self) -> Vec<TimingMeasurement> {
+        let (values, filled) = self
+            .table
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        // slic-lint: allow(P1) -- structural: every lane belongs to exactly one group, and every group is filled once, by its pass-1 hit or by the batch that settles it.
+        assert_eq!(filled, values.len(), "every lane resolved exactly once");
+        values
     }
 }
 
@@ -279,6 +324,19 @@ impl CharacterizationEngine {
         &self.obs
     }
 
+    /// This engine rebound to `tech`: the transient configuration, counter, cache,
+    /// backend, in-flight set, dispatch counters and observability are all shared with
+    /// `self`, so work on another node (historical learning, say) pays into the same
+    /// totals and shows up in the same run-wide counters.  Cache keys carry the
+    /// technology name, so the two nodes' coordinates never alias.
+    #[must_use]
+    pub fn for_technology(&self, tech: TechnologyNode) -> Self {
+        Self {
+            tech: Arc::new(tech),
+            ..self.clone()
+        }
+    }
+
     /// The technology this engine simulates.
     pub fn tech(&self) -> &TechnologyNode {
         &self.tech
@@ -350,7 +408,7 @@ impl CharacterizationEngine {
         seed: &ProcessSample,
     ) -> TimingMeasurement {
         let Some(cache) = self.cache.as_ref() else {
-            return self.solve(cell, arc, point, seed);
+            return self.solve_one(cell, arc, point, seed);
         };
         let key = SimKey::new(self.tech.name(), arc, point, seed, &self.config);
         if let Some(measurement) = cache.lookup(&key) {
@@ -385,7 +443,7 @@ impl CharacterizationEngine {
             inflight: &self.inflight,
             key: &key,
         };
-        let measurement = self.solve(cell, arc, point, seed);
+        let measurement = self.solve_one(cell, arc, point, seed);
         cache.store(key.clone(), measurement);
         drop(claim);
         measurement
@@ -411,7 +469,7 @@ impl CharacterizationEngine {
 
     /// Runs the solver unconditionally (through the configured backend) and counts the
     /// simulation.
-    fn solve(
+    fn solve_one(
         &self,
         cell: Cell,
         arc: &TimingArc,
@@ -434,205 +492,294 @@ impl CharacterizationEngine {
             })
     }
 
-    /// Solves one batch of mixed lanes through the batched kernel, preserving the scalar
-    /// path's counter, cache and single-flight semantics: each lane counts and caches as
-    /// one simulation, repeated coordinates are answered from the cache, and a coordinate
-    /// being solved elsewhere is never paid for twice.  Every lane is recorded in the
-    /// dispatch counters under exactly one of cached/claimed/deferred.
+    /// The cache key of lane `lane` of `lanes`.
+    fn key_of(&self, lanes: &LaneSet, lane: u32) -> SimKey {
+        let (_, arc, point, seed) = lanes.lane(lane);
+        SimKey::new(self.tech.name(), &arc, &point, &seed, &self.config)
+    }
+
+    /// Solves every lane of `lanes` and returns one measurement per lane, in lane order —
+    /// the engine's one worklist entry point; the sweep and Monte Carlo helpers below
+    /// build a [`LaneSet`] and call it.  Each result is bitwise identical to
+    /// [`simulate`](Self::simulate) at the same coordinates: how lanes are grouped into
+    /// batches changes only where and when the work runs, never what a run pays for or
+    /// produces.
     ///
-    /// Lanes whose coordinate is already in flight on another worker are *deferred*: the
-    /// batch first solves the lanes it could claim (holding their claims), releases them,
-    /// and only then waits on the stragglers through the scalar path — waiting while
-    /// holding claims could deadlock two batches against each other.
-    fn simulate_mixed_lane_batch(&self, lanes: &[MixedLane]) -> Vec<TimingMeasurement> {
-        self.obs
-            .metrics
-            .observe("engine.batch.lanes", lanes.len() as u64, LANE_BUCKETS);
-        let mut batch_span = self
-            .obs
-            .trace
-            .span("solve_batch", &[("lanes", lanes.len().to_string())]);
+    /// With a cache attached, lanes are deduplicated by cache key.  Each distinct key
+    /// gets one counted lookup; a miss is paid and stored once.  Every further request —
+    /// a repeat declared with [`LaneSet::request`] or a second lane with the same
+    /// coordinates — is answered by a lookup after the store, so each request still
+    /// resolves to exactly one cache hit or one miss.  The missing keys are solved in
+    /// full-quad batches (lane counts that are multiples of four, except the tail) that
+    /// `available_parallelism` workers claim from one shared cursor, under the same
+    /// single-flight claims as [`simulate`](Self::simulate): a key already in flight on
+    /// another caller is waited for, never paid twice.  Without a cache every lane is
+    /// paid and a lane's repeats share its result.
+    ///
+    /// Every request lands in exactly one dispatch bucket: *cached* (answered by a
+    /// lookup that found an entry already there, or a declared repeat of a lane this
+    /// call solved), *claimed* (paid by this call) or *deferred* (its key was in flight
+    /// — claimed by another caller, or by an earlier lane of this call with the same
+    /// coordinates — when it was dispatched).
+    pub fn solve(&self, lanes: &LaneSet) -> Vec<TimingMeasurement> {
+        let requests = lanes.request_count();
+        let span = self.obs.trace.span(
+            "solve",
+            &[
+                ("lanes", lanes.len().to_string()),
+                ("requests", requests.to_string()),
+            ],
+        );
         self.dispatch
             .dispatched
-            .fetch_add(lanes.len() as u64, Ordering::Relaxed);
-        let solve_batch = |subset: &[MixedLane]| -> Vec<TimingMeasurement> {
-            let requests: Vec<SimRequest> = subset
-                .iter()
-                .map(|(cell, arc, point, seed)| self.request(*cell, arc, point, seed))
-                .collect();
-            self.counter.add(subset.len() as u64);
-            self.dispatch
-                .claimed
-                .fetch_add(subset.len() as u64, Ordering::Relaxed);
-            let backend_span = self
-                .obs
-                .trace
-                .span("backend.solve", &[("lanes", subset.len().to_string())]);
-            let solved = self.backend.solve_batch(&requests);
-            if self.obs.trace.is_enabled() {
-                self.obs.metrics.observe(
-                    "backend.solve.latency_ns",
-                    backend_span.elapsed_ns(),
-                    LATENCY_BUCKETS_NS,
-                );
-            }
-            drop(backend_span);
-            solved
-                .into_iter()
-                .zip(subset)
-                .map(|(result, (_, arc, point, _))| {
-                    result.unwrap_or_else(|err| {
-                        // slic-lint: allow(P1) -- same contract as the scalar path: a failed transient must never be archived as a measurement.
-                        panic!(
-                            "transient simulation failed for {} at {point}: {err}",
-                            arc.id()
-                        )
-                    })
-                })
-                .collect()
-        };
-
+            .fetch_add(requests, Ordering::Relaxed);
+        // Workers write each settled lane straight into the result table, so the solve
+        // holds one measurement per lane and nothing per batch.
+        let results = LaneResults::new(lanes.len());
         let Some(cache) = self.cache.as_ref() else {
-            return solve_batch(lanes);
+            let all: Vec<u32> = (0..lanes.len() as u32).collect();
+            self.dispatch
+                .cached
+                .fetch_add(requests - lanes.len() as u64, Ordering::Relaxed);
+            self.in_quad_batches(&all, span.id(), |batch, _| {
+                results.fill(
+                    batch
+                        .iter()
+                        .map(std::slice::from_ref)
+                        .zip(self.pay(lanes, batch)),
+                );
+            });
+            return results.into_values();
         };
 
-        let keys: Vec<SimKey> = lanes
+        let (order, starts) = lanes.key_groups();
+        let group = |g: u32| -> &[u32] {
+            let end = starts
+                .get(g as usize + 1)
+                .map_or(order.len(), |&s| s as usize);
+            &order[starts[g as usize] as usize..end]
+        };
+        let group_requests =
+            |g: u32| -> u32 { group(g).iter().map(|&l| lanes.requests_of(l)).sum() };
+        // Answers `n` more requests of a stored key by lookups (each a counted hit).
+        let replay = |key: &SimKey, n: u32, solved: TimingMeasurement| {
+            (0..n).fold(solved, |m, _| cache.lookup(key).unwrap_or(m))
+        };
+
+        // Pass 1: one counted lookup per distinct key.  A hit answers every request of
+        // the key's lanes from the cache; the rest are the missing keys.
+        let groups = starts.len() as u32;
+        let chunks: Vec<std::ops::Range<u32>> = (0..groups)
+            .step_by(LOOKUP_CHUNK)
+            .map(|start| start..(start + LOOKUP_CHUNK as u32).min(groups))
+            .collect();
+        let mut lookup_span = self
+            .obs
+            .trace
+            .span("cache.lookup", &[("keys", groups.to_string())]);
+        let missing: Vec<u32> = chunks
+            .par_iter()
+            .map(|chunk| {
+                let mut hits = Vec::new();
+                let mut missing = Vec::new();
+                for g in chunk.clone() {
+                    let key = self.key_of(lanes, group(g)[0]);
+                    match cache.lookup(&key) {
+                        Some(hit) => {
+                            let n = group_requests(g);
+                            self.dispatch
+                                .cached
+                                .fetch_add(u64::from(n), Ordering::Relaxed);
+                            hits.push((group(g), replay(&key, n - 1, hit)));
+                        }
+                        None => missing.push(g),
+                    }
+                }
+                let hit_lanes = hits.iter().map(|(lanes, _)| lanes.len() as u64).sum();
+                self.obs
+                    .metrics
+                    .observe("cache.lookup.hit_lanes", hit_lanes, LANE_BUCKETS);
+                results.fill(hits);
+                missing
+            })
+            .collect::<Vec<Vec<u32>>>()
+            .concat();
+        lookup_span.attr("hits", (groups as usize - missing.len()).to_string());
+        drop(lookup_span);
+
+        // Pass 2: the missing keys, in full-quad batches on the flat worker pool.
+        self.in_quad_batches(&missing, span.id(), |batch, batch_span| {
+            let settled =
+                self.settle_batch(lanes, batch, &group, cache.as_ref(), batch_span, replay);
+            results.fill(batch.iter().map(|&g| group(g)).zip(settled));
+        });
+        results.into_values()
+    }
+
+    /// Runs `settle` over `items` in batches of [`quad_batch_width`] on the flat worker
+    /// pool (workers claim batches from one cursor).  Each batch gets a `solve_batch`
+    /// span parented explicitly under `parent`, since it may run on a helper thread
+    /// whose span stack does not hold the caller's.
+    fn in_quad_batches(
+        &self,
+        items: &[u32],
+        parent: Option<u64>,
+        settle: impl Fn(&[u32], &mut SpanGuard) + Sync,
+    ) {
+        let batches: Vec<&[u32]> = items.chunks(quad_batch_width(items.len())).collect();
+        batches.par_iter().for_each(|batch| {
+            self.obs
+                .metrics
+                .observe("engine.batch.lanes", batch.len() as u64, LANE_BUCKETS);
+            let mut batch_span = self.obs.trace.span_under(
+                parent,
+                "solve_batch",
+                &[("lanes", batch.len().to_string())],
+            );
+            settle(batch, &mut batch_span);
+        });
+    }
+
+    /// Pays for `batch` (lane indices of `lanes`) in one backend call, counting every
+    /// lane as a claimed simulation.
+    fn pay(&self, lanes: &LaneSet, batch: &[u32]) -> Vec<TimingMeasurement> {
+        let requests: Vec<SimRequest> = batch
             .iter()
-            .map(|(_, arc, point, seed)| {
-                SimKey::new(self.tech.name(), arc, point, seed, &self.config)
+            .map(|&lane| {
+                let (cell, arc, point, seed) = lanes.lane(lane);
+                self.request(cell, &arc, &point, &seed)
             })
             .collect();
-        let mut results: Vec<Option<TimingMeasurement>> = vec![None; lanes.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let mut lookup_span = self
-                .obs
-                .trace
-                .span("cache.lookup", &[("lanes", lanes.len().to_string())]);
-            for (i, key) in keys.iter().enumerate() {
-                match cache.lookup(key) {
-                    Some(m) => results[i] = Some(m),
-                    None => misses.push(i),
-                }
-            }
-            lookup_span.attr("hits", (lanes.len() - misses.len()).to_string());
+        self.counter.add(batch.len() as u64);
+        self.dispatch
+            .claimed
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        let backend_span = self
+            .obs
+            .trace
+            .span("backend.solve", &[("lanes", batch.len().to_string())]);
+        let solved = self.backend.solve_batch(&requests);
+        if self.obs.trace.is_enabled() {
+            self.obs.metrics.observe(
+                "backend.solve.latency_ns",
+                backend_span.elapsed_ns(),
+                LATENCY_BUCKETS_NS,
+            );
         }
+        drop(backend_span);
+        solved
+            .into_iter()
+            .zip(requests)
+            .map(|(result, request)| {
+                result.unwrap_or_else(|err| {
+                    // slic-lint: allow(P1) -- same contract as the scalar path: a failed transient must never be archived as a measurement.
+                    panic!(
+                        "transient simulation failed for {} at {}: {err}",
+                        request.arc.id(),
+                        request.point
+                    )
+                })
+            })
+            .collect()
+    }
 
-        // Claim what we can in one pass over the in-flight set; lanes owned by another
-        // worker are deferred.
+    /// Settles one batch of key groups that missed the cache in pass 1 and returns one
+    /// measurement per group.  Under the in-flight lock each group's primary lane is
+    /// looked up again (a sibling may have stored it meanwhile), deferred when another
+    /// caller holds its key, or claimed.  The claimed lanes are paid in one backend call
+    /// and stored; only after their claims are released are the deferred ones waited for
+    /// through the scalar single-flight path — waiting while holding claims could
+    /// deadlock two batches against each other.  Finally every further request of each
+    /// group is answered by a lookup after the store.
+    fn settle_batch<'g>(
+        &self,
+        lanes: &LaneSet,
+        batch: &[u32],
+        group: &impl Fn(u32) -> &'g [u32],
+        cache: &dyn SimulationCache,
+        batch_span: &mut SpanGuard,
+        replay: impl Fn(&SimKey, u32, TimingMeasurement) -> TimingMeasurement,
+    ) -> Vec<TimingMeasurement> {
+        let keys: Vec<SimKey> = batch
+            .iter()
+            .map(|&g| self.key_of(lanes, group(g)[0]))
+            .collect();
+        let mut results: Vec<Option<TimingMeasurement>> = vec![None; batch.len()];
+        let mut rehit: Vec<usize> = Vec::new();
         let mut claimed: Vec<usize> = Vec::new();
         let mut deferred: Vec<usize> = Vec::new();
-        if !misses.is_empty() {
+        {
             let mut inflight = self
                 .inflight
                 .keys
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
-            for i in misses {
-                if let Some(m) = cache.lookup(&keys[i]) {
+            for (i, key) in keys.iter().enumerate() {
+                if let Some(m) = cache.lookup(key) {
                     results[i] = Some(m);
-                } else if inflight.contains(&keys[i]) {
+                    rehit.push(i);
+                } else if inflight.contains(key) {
                     deferred.push(i);
                 } else {
-                    inflight.insert(keys[i].clone());
+                    inflight.insert(key.clone());
                     claimed.push(i);
                 }
             }
         }
-        let cached = lanes.len() - claimed.len() - deferred.len();
-        self.dispatch
-            .cached
-            .fetch_add(cached as u64, Ordering::Relaxed);
-        self.dispatch
-            .deferred
-            .fetch_add(deferred.len() as u64, Ordering::Relaxed);
-        batch_span.attr("cached", cached.to_string());
+        batch_span.attr("cached", rehit.len().to_string());
         batch_span.attr("claimed", claimed.len().to_string());
         batch_span.attr("deferred", deferred.len().to_string());
-        self.obs
-            .metrics
-            .observe("cache.lookup.hit_lanes", cached as u64, LANE_BUCKETS);
 
         if !claimed.is_empty() {
             let claims = BatchClaims {
                 inflight: &self.inflight,
                 keys: claimed.iter().map(|&i| keys[i].clone()).collect(),
             };
-            let subset: Vec<MixedLane> = claimed.iter().map(|&i| lanes[i]).collect();
-            let solved = solve_batch(&subset);
-            for (&i, m) in claimed.iter().zip(solved) {
+            let primaries: Vec<u32> = claimed.iter().map(|&i| group(batch[i])[0]).collect();
+            for (&i, m) in claimed.iter().zip(self.pay(lanes, &primaries)) {
                 cache.store(keys[i].clone(), m);
                 results[i] = Some(m);
             }
             drop(claims);
         }
-
-        for i in deferred {
-            let (cell, arc, point, seed) = &lanes[i];
-            results[i] = Some(self.simulate(*cell, arc, point, seed));
+        for &i in &deferred {
+            let (cell, arc, point, seed) = lanes.lane(group(batch[i])[0]);
+            results[i] = Some(self.simulate(cell, &arc, &point, &seed));
         }
 
-        results
-            .into_iter()
-            // slic-lint: allow(P1) -- structural: every index lands in exactly one of cached/claimed/deferred above, each of which fills its slot.
-            .map(|m| m.expect("every lane resolved"))
-            .collect()
-    }
-
-    /// Solves one batch of same-arc lanes as one worklist (see
-    /// [`simulate_mixed_lane_batch`](Self::simulate_mixed_lane_batch)).
-    fn simulate_lane_batch(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        lanes: &[Lane],
-    ) -> Vec<TimingMeasurement> {
-        let mixed: Vec<MixedLane> = lanes
-            .iter()
-            .map(|(point, seed)| (cell, *arc, *point, *seed))
-            .collect();
-        self.simulate_mixed_lane_batch(&mixed)
-    }
-
-    /// Fans a mixed lane list out across worker threads in batched chunks, preserving
-    /// order.
-    fn simulate_mixed_lanes(&self, lanes: &[MixedLane]) -> Vec<TimingMeasurement> {
-        let chunks: Vec<&[MixedLane]> = lanes.chunks(batch_width(lanes.len())).collect();
-        let per_chunk: Vec<Vec<TimingMeasurement>> = chunks
-            .par_iter()
-            .map(|chunk| self.simulate_mixed_lane_batch(chunk))
-            .collect();
-        per_chunk.into_iter().flatten().collect()
-    }
-
-    /// Fans a lane list out across worker threads in batched chunks, preserving order.
-    fn simulate_lanes(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        lanes: &[Lane],
-    ) -> Vec<TimingMeasurement> {
-        let mixed: Vec<MixedLane> = lanes
-            .iter()
-            .map(|(point, seed)| (cell, *arc, *point, *seed))
-            .collect();
-        self.simulate_mixed_lanes(&mixed)
+        // Every request beyond the primary's first: cached when the key was already in
+        // the cache (a re-hit) or is a declared repeat of one lane; deferred for the
+        // first request of each further lane with the key, which found it in flight.
+        let mut cached = 0u64;
+        let mut waited = deferred.len() as u64;
+        for (i, &g) in batch.iter().enumerate() {
+            let members = group(g);
+            let n: u32 = members.iter().map(|&l| lanes.requests_of(l)).sum();
+            if rehit.contains(&i) {
+                cached += u64::from(n);
+            } else {
+                let copies = members.len() as u64 - 1;
+                waited += copies;
+                cached += u64::from(n) - 1 - copies;
+            }
+            // slic-lint: allow(P1) -- structural: every batch index lands in exactly one of rehit/claimed/deferred above, each of which fills its slot.
+            let m = results[i].expect("every lane resolved");
+            results[i] = Some(replay(&keys[i], n - 1, m));
+        }
+        self.dispatch.cached.fetch_add(cached, Ordering::Relaxed);
+        self.dispatch.deferred.fetch_add(waited, Ordering::Relaxed);
+        results.into_iter().flatten().collect()
     }
 
     /// Simulates an arbitrary mixed worklist — lanes spanning cells, arcs, input points
-    /// and process seeds — in parallel through the batched kernel.  Result `i`
-    /// corresponds to `lanes[i]` and is bitwise identical to
-    /// [`simulate`](Self::simulate) with the same coordinates: mega-batching across
-    /// seeds or arcs changes only how the work is grouped, never what a run pays for or
-    /// produces.
+    /// and process seeds — through [`solve`](Self::solve).  Result `i` corresponds to
+    /// `lanes[i]`.
     pub fn simulate_mixed(&self, lanes: &[MixedLane]) -> Vec<TimingMeasurement> {
-        self.simulate_mixed_lanes(lanes)
-    }
-
-    /// As [`simulate_mixed`](Self::simulate_mixed), but as **one** batched worklist on
-    /// the calling thread — for callers that already parallelize at a coarser grain.
-    pub fn simulate_mixed_batch(&self, lanes: &[MixedLane]) -> Vec<TimingMeasurement> {
-        self.simulate_mixed_lane_batch(lanes)
+        let mut set = LaneSet::new();
+        for &(cell, arc, point, seed) in lanes {
+            set.push(cell, arc, point, seed);
+        }
+        self.solve(&set)
     }
 
     /// Runs one transient simulation at the nominal process corner.
@@ -645,9 +792,9 @@ impl CharacterizationEngine {
         self.simulate(cell, arc, point, &ProcessSample::nominal())
     }
 
-    /// Simulates `arc` at every input point for a fixed process seed (the `.ALTER` sweep),
-    /// in parallel through the batched kernel.  Result `i` corresponds to `points[i]` and
-    /// is bitwise identical to [`simulate`](Self::simulate) at that point.
+    /// Simulates `arc` at every input point for a fixed process seed (the `.ALTER` sweep)
+    /// through [`solve`](Self::solve).  Result `i` corresponds to `points[i]` and is
+    /// bitwise identical to [`simulate`](Self::simulate) at that point.
     pub fn sweep(
         &self,
         cell: Cell,
@@ -655,14 +802,16 @@ impl CharacterizationEngine {
         points: &[InputPoint],
         seed: &ProcessSample,
     ) -> Vec<TimingMeasurement> {
-        let lanes: Vec<Lane> = points.iter().map(|p| (*p, *seed)).collect();
-        self.simulate_lanes(cell, arc, &lanes)
+        let mut lanes = LaneSet::new();
+        for point in points {
+            lanes.push(cell, *arc, *point, *seed);
+        }
+        self.solve(&lanes)
     }
 
-    /// Simulates `arc` at every input point for a fixed process seed as **one** batched
-    /// worklist on the calling thread — no thread fan-out.  This is the entry point for
-    /// callers that already parallelize at a coarser grain (one worker per shard, per
-    /// cell, or per seed) and want the batched kernel without nested parallelism.
+    /// The same worklist as [`sweep`](Self::sweep), kept for callers written against the
+    /// batch-per-call form.  Nested inside another parallel loop it runs on the calling
+    /// thread, because the outer loop already holds the process's worker budget.
     pub fn sweep_batch(
         &self,
         cell: Cell,
@@ -670,11 +819,10 @@ impl CharacterizationEngine {
         points: &[InputPoint],
         seed: &ProcessSample,
     ) -> Vec<TimingMeasurement> {
-        let lanes: Vec<Lane> = points.iter().map(|p| (*p, *seed)).collect();
-        self.simulate_lane_batch(cell, arc, &lanes)
+        self.sweep(cell, arc, points, seed)
     }
 
-    /// Simulates `arc` at every input point at the nominal corner, in parallel.
+    /// Simulates `arc` at every input point at the nominal corner.
     pub fn sweep_nominal(
         &self,
         cell: Cell,
@@ -684,8 +832,8 @@ impl CharacterizationEngine {
         self.sweep(cell, arc, points, &ProcessSample::nominal())
     }
 
-    /// Monte Carlo ensemble: simulates `arc` at one input point under every process seed,
-    /// in parallel through the batched kernel.  Element `i` of the result corresponds to
+    /// Monte Carlo ensemble: simulates `arc` at one input point under every process seed
+    /// through [`solve`](Self::solve).  Element `i` of the result corresponds to
     /// `seeds[i]` and is bitwise identical to [`simulate`](Self::simulate) under that seed.
     pub fn monte_carlo(
         &self,
@@ -694,12 +842,13 @@ impl CharacterizationEngine {
         point: &InputPoint,
         seeds: &[ProcessSample],
     ) -> Vec<TimingMeasurement> {
-        let lanes: Vec<Lane> = seeds.iter().map(|s| (*point, *s)).collect();
-        self.simulate_lanes(cell, arc, &lanes)
+        self.monte_carlo_sweep(cell, arc, std::slice::from_ref(point), seeds)
+            .pop()
+            .unwrap_or_default()
     }
 
-    /// Full statistical baseline: simulates every (input point, seed) pair through the
-    /// batched kernel.
+    /// Full statistical baseline: simulates every (input point, seed) pair through
+    /// [`solve`](Self::solve).
     ///
     /// The result is indexed `[point][seed]`.
     pub fn monte_carlo_sweep(
@@ -709,17 +858,17 @@ impl CharacterizationEngine {
         points: &[InputPoint],
         seeds: &[ProcessSample],
     ) -> Vec<Vec<TimingMeasurement>> {
-        let lanes: Vec<Lane> = points
-            .iter()
-            .flat_map(|p| seeds.iter().map(move |s| (*p, *s)))
-            .collect();
-        let flat = self.simulate_lanes(cell, arc, &lanes);
-        let mut rows = Vec::with_capacity(points.len());
-        let mut it = flat.into_iter();
-        for _ in points {
-            rows.push(it.by_ref().take(seeds.len()).collect());
+        let mut lanes = LaneSet::new();
+        for point in points {
+            for seed in seeds {
+                lanes.push(cell, *arc, *point, *seed);
+            }
         }
-        rows
+        let mut flat = self.solve(&lanes).into_iter();
+        points
+            .iter()
+            .map(|_| flat.by_ref().take(seeds.len()).collect())
+            .collect()
     }
 }
 
@@ -976,16 +1125,14 @@ mod tests {
         let eng = engine().with_cache(cache.clone());
         let (cell, arc) = inv_fall();
         let nominal = ProcessSample::nominal();
-        // A duplicated coordinate inside one batch exercises the deferral path
-        // deterministically: the first copy claims the key, so by the time the second
-        // copy is inspected under the in-flight lock it is "owned elsewhere" and must be
-        // deferred to the scalar path.
-        let lanes: Vec<MixedLane> = vec![
-            (cell, arc, pt(5.0, 2.0, 0.8), nominal),
-            (cell, arc, pt(9.0, 4.0, 0.7), nominal),
-            (cell, arc, pt(5.0, 2.0, 0.8), nominal),
-        ];
-        let first = eng.simulate_mixed_batch(&lanes);
+        // A lane pushed twice with one coordinate exercises the deferral path
+        // deterministically: the first copy claims the key, so the second finds it in
+        // flight and must be deferred, then answered by a lookup after the store.
+        let mut lanes = LaneSet::new();
+        lanes.push(cell, arc, pt(5.0, 2.0, 0.8), nominal);
+        lanes.push(cell, arc, pt(9.0, 4.0, 0.7), nominal);
+        lanes.push(cell, arc, pt(5.0, 2.0, 0.8), nominal);
+        let first = eng.solve(&lanes);
         assert_eq!(
             first[0], first[2],
             "deferred duplicate resolves to the same measurement"
@@ -1000,7 +1147,7 @@ mod tests {
         );
         assert_eq!(eng.simulation_count(), 2, "the duplicate is never re-paid");
         // A warm replay of the same batch resolves every lane from the cache.
-        let second = eng.simulate_mixed_batch(&lanes);
+        let second = eng.solve(&lanes);
         assert_eq!(second, first);
         let stats = eng.dispatch_stats();
         assert_eq!(stats.lanes_dispatched, 6);
@@ -1083,14 +1230,14 @@ mod tests {
         let a = std::thread::spawn(move || eng_a.simulate(cell, &arc, &contended, &nominal));
         backend.wait_entered(1);
 
-        // Worker B's cross-seed batch includes the contended coordinate: it must defer
-        // that lane, claim and solve the fresh one, then wait for A's result.
+        // Worker B's worklist includes the contended coordinate: it must defer that
+        // lane, claim and solve the fresh one, then wait for A's result.
         let eng_b = eng.clone();
         let b = std::thread::spawn(move || {
-            eng_b.simulate_mixed_batch(&[
-                (cell, arc, contended, nominal),
-                (cell, arc, fresh, nominal),
-            ])
+            let mut lanes = LaneSet::new();
+            lanes.push(cell, arc, contended, nominal);
+            lanes.push(cell, arc, fresh, nominal);
+            eng_b.solve(&lanes)
         });
         backend.wait_entered(2);
         backend.release();

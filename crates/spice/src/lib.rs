@@ -19,6 +19,8 @@
 //!   quad worklist, each lane's result independent of how lanes were grouped;
 //! * [`backend`] — the [`SimulationBackend`] boundary: where a batch of solves actually
 //!   executes ([`LocalBackend`] in-process; the `slic-farm` crate adds remote workers);
+//! * [`lanes`] — the compact [`LaneSet`] worklist (interned arc/point/seed tables, index
+//!   triples per lane) that [`CharacterizationEngine::solve`] takes;
 //! * [`engine`] — the "simulator front-end": a [`CharacterizationEngine`] bound to one
 //!   technology that runs (and counts) simulations, sweeps and Monte Carlo ensembles, in
 //!   the role of the paper's SPICE + `.ALTER` + Monte Carlo flow.
@@ -51,6 +53,7 @@ pub mod cache;
 pub mod disk;
 pub mod engine;
 pub mod input;
+pub mod lanes;
 pub mod measure;
 pub mod simd;
 pub mod transient;
@@ -62,6 +65,7 @@ pub use engine::{
     CharacterizationEngine, ConfigError, DispatchSnapshot, MixedLane, SimulationCounter,
 };
 pub use input::{InputPoint, InputSpace};
+pub use lanes::LaneSet;
 pub use measure::TimingMeasurement;
 pub use simd::{
     simulate_switching_batch, simulate_switching_batch_with_stats,

@@ -251,6 +251,89 @@ impl<'a> VariationExtractor<'a> {
         (slew_levels * load_levels * self.seeds.len()) as u64
     }
 
+    /// The grid points of a table over `slew_axis × load_axis` at the technology's
+    /// nominal supply, slew-major.  Every point is simulated under every
+    /// [`seeds`](Self::seeds) entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either axis is empty — callers derive the axes from a validated export
+    /// grid.
+    pub fn points(&self, slew_axis: &[f64], load_axis: &[f64]) -> Vec<InputPoint> {
+        assert!(
+            !slew_axis.is_empty() && !load_axis.is_empty(),
+            "variation grid axes must not be empty"
+        );
+        let vdd = self.engine.tech().vdd_nominal();
+        slew_axis
+            .iter()
+            .flat_map(|&sin| {
+                load_axis
+                    .iter()
+                    .map(move |&cload| InputPoint::new(Seconds(sin), Farads(cload), vdd))
+            })
+            .collect()
+    }
+
+    /// Reduces the simulated grid to per-point mean/sigma/skew of `metric`.
+    /// `measurements` holds every [`points`](Self::points) entry under every seed,
+    /// point-major: `measurements[p * seeds + s]` is point `p` under seed `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `measurements` does not cover every (point, seed) pair.
+    pub fn reduce(
+        &self,
+        arc: &TimingArc,
+        metric: TimingMetric,
+        slew_axis: &[f64],
+        load_axis: &[f64],
+        measurements: &[TimingMeasurement],
+    ) -> VariationTable {
+        let seeds = self.seeds.len();
+        assert_eq!(
+            measurements.len(),
+            slew_axis.len() * load_axis.len() * seeds,
+            "a variation table needs every grid point under every seed"
+        );
+        let pick = |m: &TimingMeasurement| -> f64 {
+            match metric {
+                TimingMetric::Delay => m.delay.value(),
+                TimingMetric::OutputSlew => m.output_slew.value(),
+            }
+        };
+        let mut mean = Vec::with_capacity(slew_axis.len());
+        let mut sigma = Vec::with_capacity(slew_axis.len());
+        let mut skew = Vec::with_capacity(slew_axis.len());
+        for slew_row in measurements.chunks(load_axis.len() * seeds) {
+            let mut mean_row = Vec::with_capacity(load_axis.len());
+            let mut sigma_row = Vec::with_capacity(load_axis.len());
+            let mut skew_row = Vec::with_capacity(load_axis.len());
+            for seed_samples in slew_row.chunks(seeds) {
+                let values: Vec<f64> = seed_samples.iter().map(&pick).collect();
+                mean_row.push(moments::mean(&values));
+                sigma_row.push(moments::std_dev(&values));
+                skew_row.push(moments::skewness(&values));
+            }
+            mean.push(mean_row);
+            sigma.push(sigma_row);
+            skew.push(skew_row);
+        }
+
+        VariationTable {
+            arc_id: arc.id(),
+            arc: *arc,
+            metric,
+            vdd: self.engine.tech().vdd_nominal().value(),
+            slew_axis: slew_axis.to_vec(),
+            load_axis: load_axis.to_vec(),
+            process_seeds: seeds,
+            mean,
+            sigma,
+            skew,
+        }
+    }
+
     /// Characterizes `metric` of `arc` over `slew_axis × load_axis` at the technology's
     /// nominal supply: every grid point is simulated under every process seed (through the
     /// engine's backend, counter and cache) and reduced to per-point mean/sigma/skew.
@@ -267,59 +350,11 @@ impl<'a> VariationExtractor<'a> {
         slew_axis: &[f64],
         load_axis: &[f64],
     ) -> VariationTable {
-        assert!(
-            !slew_axis.is_empty() && !load_axis.is_empty(),
-            "variation grid axes must not be empty"
-        );
-        let vdd = self.engine.tech().vdd_nominal();
-        let points: Vec<InputPoint> = slew_axis
-            .iter()
-            .flat_map(|&sin| {
-                load_axis
-                    .iter()
-                    .map(move |&cload| InputPoint::new(Seconds(sin), Farads(cload), vdd))
-            })
-            .collect();
+        let points = self.points(slew_axis, load_axis);
         let grid = self
             .engine
             .monte_carlo_sweep(cell, arc, &points, &self.seeds);
-
-        let pick = |m: &TimingMeasurement| -> f64 {
-            match metric {
-                TimingMetric::Delay => m.delay.value(),
-                TimingMetric::OutputSlew => m.output_slew.value(),
-            }
-        };
-        let mut mean = Vec::with_capacity(slew_axis.len());
-        let mut sigma = Vec::with_capacity(slew_axis.len());
-        let mut skew = Vec::with_capacity(slew_axis.len());
-        for point_rows in grid.chunks(load_axis.len()) {
-            let mut mean_row = Vec::with_capacity(load_axis.len());
-            let mut sigma_row = Vec::with_capacity(load_axis.len());
-            let mut skew_row = Vec::with_capacity(load_axis.len());
-            for seed_samples in point_rows {
-                let values: Vec<f64> = seed_samples.iter().map(&pick).collect();
-                mean_row.push(moments::mean(&values));
-                sigma_row.push(moments::std_dev(&values));
-                skew_row.push(moments::skewness(&values));
-            }
-            mean.push(mean_row);
-            sigma.push(sigma_row);
-            skew.push(skew_row);
-        }
-
-        VariationTable {
-            arc_id: arc.id(),
-            arc: *arc,
-            metric,
-            vdd: vdd.value(),
-            slew_axis: slew_axis.to_vec(),
-            load_axis: load_axis.to_vec(),
-            process_seeds: self.seeds.len(),
-            mean,
-            sigma,
-            skew,
-        }
+        self.reduce(arc, metric, slew_axis, load_axis, &grid.concat())
     }
 }
 

@@ -186,3 +186,94 @@ fn invalid_transient_configuration_is_surfaced_as_an_error() {
             .expect_err("invalid config must be rejected");
     assert!(err.to_string().contains("dv_max_fraction"));
 }
+
+/// Every method and the Monte Carlo variation section, at a pinned seed: the run whose
+/// artifact and Liberty bytes are committed under `tests/fixtures/`.
+fn fixture_config() -> RunConfig {
+    RunConfig {
+        seed: Some(7),
+        methods: Some(vec!["bayesian".into(), "lse".into(), "lut".into()]),
+        variation: Some(slic_pipeline::VariationKnobs {
+            process_seeds: Some(4),
+            sigma_corners: None,
+        }),
+        ..RunConfig::default()
+    }
+}
+
+/// The artifact JSON and LVF Liberty text of one [`fixture_config`] run.
+fn fixture_run() -> (String, String) {
+    let runner =
+        PipelineRunner::new(fixture_config().resolve().expect("config resolves")).expect("runner");
+    let (_, artifact) = runner.run().expect("run completes");
+    let variation = artifact.variation.as_ref().expect("variation section");
+    let liberty = artifact
+        .characterized
+        .to_liberty_with_variation(runner.engine(), runner.config().export_grid, variation)
+        .expect("fitted arcs exist");
+    (artifact.to_json().expect("serializes"), liberty)
+}
+
+#[test]
+fn runner_reproduces_the_committed_artifact_and_liberty_bytes() {
+    let (json, liberty) = fixture_run();
+    assert!(
+        json == include_str!("fixtures/paper_trio_all_methods_mc.json"),
+        "artifact bytes changed"
+    );
+    assert!(
+        liberty == include_str!("fixtures/paper_trio_all_methods_mc.lib"),
+        "Liberty bytes changed"
+    );
+}
+
+#[test]
+fn traced_quick_run_fills_quads_and_attributes_every_paid_lane() {
+    use slic_obs::{Observability, TraceRecorder};
+    let dir = std::env::temp_dir().join(format!("slic-batch-fill-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let obs = Observability {
+        trace: TraceRecorder::to_file(&dir.join("run.trace.jsonl")).expect("trace file opens"),
+        ..Observability::default()
+    };
+    let runner = PipelineRunner::new(quick_config().resolve().expect("config resolves"))
+        .expect("runner builds")
+        .with_observability(obs.clone());
+    let (learning, artifact) = runner.run().expect("run completes");
+    obs.trace.flush();
+
+    // The whole plan is one worklist, so backend batches are full quads, not the
+    // 1–2 lane scraps a per-unit loop produced.
+    let snapshot = obs.metrics.snapshot();
+    let (_, lanes) = snapshot
+        .histograms
+        .iter()
+        .find(|(name, _)| name == "engine.batch.lanes")
+        .expect("batch-size histogram recorded");
+    assert!(
+        lanes.quantile(0.5) >= 4,
+        "batch p50 {}",
+        lanes.quantile(0.5)
+    );
+
+    // Learning runs on the runner's engine, so the run-wide dispatch counters see
+    // every paid lane: each kernel simulation was claimed (or waited for) by a solve.
+    let kernel = runner
+        .engine()
+        .backend()
+        .kernel_stats()
+        .expect("the local backend reports kernel counters");
+    let dispatch = runner.engine().dispatch_stats();
+    assert!(learning.simulation_cost > 0);
+    assert_eq!(kernel.sims, artifact.total_simulations);
+    assert_eq!(
+        kernel.sims,
+        dispatch.lanes_claimed + dispatch.lanes_deferred,
+        "{dispatch:?}"
+    );
+    assert_eq!(
+        dispatch.lanes_dispatched,
+        dispatch.lanes_cached + dispatch.lanes_claimed + dispatch.lanes_deferred
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
