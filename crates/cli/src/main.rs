@@ -603,6 +603,14 @@ fn build_runner(
     config: slic_pipeline::ResolvedConfig,
     obs: &Observability,
 ) -> Result<(PipelineRunner, Option<Arc<FarmBackend>>), PipelineError> {
+    // Construction opens the disk-cache log (and, for a farm, connects the fleet), so
+    // it gets its own span: a warm log's load is otherwise unattributed.
+    let attrs: Vec<(&str, String)> = config
+        .cache_path
+        .iter()
+        .map(|path| ("cache", path.display().to_string()))
+        .collect();
+    let _span = obs.trace.span("runner.build", &attrs);
     match config.backend.clone() {
         BackendChoice::Local => Ok((
             PipelineRunner::new(config)?.with_observability(obs.clone()),

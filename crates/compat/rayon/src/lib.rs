@@ -236,9 +236,23 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::sync::{RwLock, RwLockReadGuard};
+
+    /// Every test here draws on the one process-wide helper budget.  The nested test
+    /// counts the threads its calls use, which holds only when its outer call got the
+    /// helpers — not when a concurrently running test held them at that moment and
+    /// released them mid-run — so it takes this lock exclusively and the rest share it.
+    static BUDGET: RwLock<()> = RwLock::new(());
+
+    fn shared_budget() -> RwLockReadGuard<'static, ()> {
+        BUDGET
+            .read()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn map_collect_preserves_order() {
+        let _budget = shared_budget();
         let xs: Vec<u64> = (0..1000).collect();
         let squares: Vec<u64> = xs.par_iter().map(|x| x * x).collect();
         assert_eq!(squares, xs.iter().map(|x| x * x).collect::<Vec<_>>());
@@ -246,6 +260,7 @@ mod tests {
 
     #[test]
     fn runs_closures_with_captured_state() {
+        let _budget = shared_budget();
         let offset = 7u64;
         let xs = [1u64, 2, 3, 4, 5];
         let ys: Vec<u64> = xs.par_iter().map(|x| x + offset).collect();
@@ -254,6 +269,7 @@ mod tests {
 
     #[test]
     fn owned_into_par_iter() {
+        let _budget = shared_budget();
         let xs: Vec<String> = (0..100).map(|i| format!("item-{i}")).collect();
         let lens: Vec<usize> = xs.clone().into_par_iter().map(|s| s.len()).collect();
         assert_eq!(lens, xs.iter().map(String::len).collect::<Vec<_>>());
@@ -261,6 +277,7 @@ mod tests {
 
     #[test]
     fn for_each_visits_everything() {
+        let _budget = shared_budget();
         use std::sync::atomic::{AtomicU64, Ordering};
         let sum = AtomicU64::new(0);
         let xs: Vec<u64> = (1..=100).collect();
@@ -282,6 +299,7 @@ mod tests {
 
     #[test]
     fn skewed_items_keep_order_and_stay_within_the_thread_budget() {
+        let _budget = shared_budget();
         use std::collections::HashSet;
         use std::sync::Mutex;
         let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -318,6 +336,9 @@ mod tests {
 
     #[test]
     fn nested_par_iter_completes_without_oversubscribing() {
+        let _budget = BUDGET
+            .write()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         use std::collections::HashSet;
         use std::sync::Mutex;
         let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -353,6 +374,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
+        let _budget = shared_budget();
         let xs: Vec<u64> = Vec::new();
         let ys: Vec<u64> = xs.par_iter().map(|x| x + 1).collect();
         assert!(ys.is_empty());

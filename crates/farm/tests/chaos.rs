@@ -88,8 +88,8 @@ fn a_flapping_worker_is_readmitted_with_backoff_and_results_stay_bitwise() {
     let (cell, arc) = inv_fall();
     let points = grid(96);
 
-    let remote = farmed.sweep_batch(cell, &arc, &points, &ProcessSample::nominal());
-    let reference = local.sweep_batch(cell, &arc, &points, &ProcessSample::nominal());
+    let remote = farmed.sweep(cell, &arc, &points, &ProcessSample::nominal());
+    let reference = local.sweep(cell, &arc, &points, &ProcessSample::nominal());
     assert_eq!(remote, reference, "a flapping worker must not change a bit");
 
     let stats = farm.stats();
@@ -156,8 +156,8 @@ fn a_half_open_peer_is_caught_by_the_heartbeat_not_the_batch_deadline() {
     let (cell, arc) = inv_fall();
     let points = grid(24);
 
-    let remote = farmed.sweep_batch(cell, &arc, &points, &ProcessSample::nominal());
-    let reference = local.sweep_batch(cell, &arc, &points, &ProcessSample::nominal());
+    let remote = farmed.sweep(cell, &arc, &points, &ProcessSample::nominal());
+    let reference = local.sweep(cell, &arc, &points, &ProcessSample::nominal());
     assert_eq!(remote, reference, "a half-open peer must not change a bit");
 
     let stats = farm.stats();
@@ -200,8 +200,8 @@ fn exhausting_the_retry_budget_degrades_jobs_to_the_local_fallback() {
     let (cell, arc) = inv_fall();
     let points = grid(24);
 
-    let remote = farmed.sweep_batch(cell, &arc, &points, &ProcessSample::nominal());
-    let reference = local.sweep_batch(cell, &arc, &points, &ProcessSample::nominal());
+    let remote = farmed.sweep(cell, &arc, &points, &ProcessSample::nominal());
+    let reference = local.sweep(cell, &arc, &points, &ProcessSample::nominal());
     assert_eq!(remote, reference, "garbage replies must not change a bit");
 
     let stats = farm.stats();

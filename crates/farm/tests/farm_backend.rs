@@ -123,8 +123,8 @@ fn killing_a_worker_mid_run_fails_over_and_preserves_bitwise_results() {
             break;
         }
         let nominal = slic_device::ProcessSample::nominal();
-        let remote = farmed.sweep_batch(cell, &arc, points, &nominal);
-        let reference = local.sweep_batch(cell, &arc, points, &nominal);
+        let remote = farmed.sweep(cell, &arc, points, &nominal);
+        let reference = local.sweep(cell, &arc, points, &nominal);
         assert_eq!(
             remote, reference,
             "a mid-run worker death must not change a single bit"
@@ -156,8 +156,8 @@ fn a_fully_dead_fleet_falls_back_to_local_solving() {
     let local = engine();
     let (cell, arc) = inv_fall();
     let points = grid(8);
-    let remote = farmed.sweep_batch(cell, &arc, &points, &slic_device::ProcessSample::nominal());
-    let reference = local.sweep_batch(cell, &arc, &points, &slic_device::ProcessSample::nominal());
+    let remote = farmed.sweep(cell, &arc, &points, &slic_device::ProcessSample::nominal());
+    let reference = local.sweep(cell, &arc, &points, &slic_device::ProcessSample::nominal());
     assert_eq!(remote, reference);
     assert_eq!(farm.live_workers(), 0);
     let stats = farm.stats();
@@ -183,8 +183,8 @@ fn a_custom_technology_outside_the_catalogue_degrades_to_local_solving() {
     let (cell, arc) = inv_fall();
     let points = grid(6);
     let seed = slic_device::ProcessSample::nominal();
-    let remote = farmed.sweep_batch(cell, &arc, &points, &seed);
-    let reference = local.sweep_batch(cell, &arc, &points, &seed);
+    let remote = farmed.sweep(cell, &arc, &points, &seed);
+    let reference = local.sweep(cell, &arc, &points, &seed);
     assert_eq!(remote, reference, "fallback must match the local backend");
     let stats = farm.stats();
     assert_eq!(stats.lanes_remote, 0, "nothing travelled");

@@ -12,8 +12,8 @@ use serde_json::Value;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// Appends `lines` (each without its newline) to the log at `path`, creating it if
-/// needed, under an exclusive advisory lock.
+/// Appends `lines` — whole lines, each ending in its newline — to the log at `path`,
+/// creating it if needed, under an exclusive advisory lock, in one write.
 ///
 /// A torn final line left by a crashed writer is truncated away first — appending
 /// after it would weld the partial bytes and the first new line into one unparseable
@@ -22,7 +22,7 @@ use std::path::Path;
 /// # Errors
 ///
 /// Returns the underlying I/O error when the file cannot be opened, locked or appended.
-pub fn append(path: &Path, lines: &[String]) -> std::io::Result<()> {
+pub fn append(path: &Path, lines: &str) -> std::io::Result<()> {
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .read(true)
@@ -30,12 +30,7 @@ pub fn append(path: &Path, lines: &[String]) -> std::io::Result<()> {
         .open(path)?;
     file.lock()?;
     truncate_torn_tail(&mut file)?;
-    let mut text = String::new();
-    for line in lines {
-        text.push_str(line);
-        text.push('\n');
-    }
-    file.write_all(text.as_bytes())?;
+    file.write_all(lines.as_bytes())?;
     file.flush()
     // Closing the handle releases the lock.
 }
@@ -117,7 +112,7 @@ mod tests {
             ("", 130 * 1024),
         ] {
             std::fs::write(&path, format!("{complete}{}", "x".repeat(torn))).expect("seed file");
-            append(&path, &["{\"new\":true}".to_string()]).expect("append");
+            append(&path, "{\"new\":true}\n").expect("append");
             let text = read_shared(&path).expect("read back");
             assert_eq!(text, format!("{complete}{{\"new\":true}}\n"));
         }

@@ -24,7 +24,7 @@
 use crate::input::InputPoint;
 use crate::measure::TimingMeasurement;
 use crate::transient::TransientConfig;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Error as SerdeError, Value};
 use slic_cells::TimingArc;
 use slic_device::ProcessSample;
 use std::collections::BTreeMap;
@@ -41,7 +41,7 @@ use std::sync::Mutex;
 /// the log but can never answer a newer kernel's lookups.
 ///
 /// History: **1** — the seed's slope-probe RK4 kernel (records written before the field
-/// existed deserialize as this version); **2** — the Bogacki–Shampine 3(2) embedded pair
+/// existed load as this version); **2** — the Bogacki–Shampine 3(2) embedded pair
 /// over compiled device models, scalar libm transcendentals (an opt-in SIMD mode wrote
 /// records under this same stamp, so a version-2 log can mix both kernels); **3** — the
 /// SIMD quad kernel as the only production kernel.  Version-2 records answer no
@@ -49,7 +49,7 @@ use std::sync::Mutex;
 pub const KERNEL_VERSION: u64 = 3;
 
 /// The version that keys cache records written before the kernel field existed.
-const LEGACY_KERNEL_VERSION: u64 = 1;
+pub(crate) const LEGACY_KERNEL_VERSION: u64 = 1;
 
 /// The exact coordinates of one transient simulation.
 ///
@@ -64,12 +64,14 @@ const LEGACY_KERNEL_VERSION: u64 = 1;
 /// The solver generation is part of the key (see [`KERNEL_VERSION`]).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimKey {
-    kernel: u64,
-    tech: String,
-    arc: TimingArc,
-    point: [u64; 3],
-    seed: [u64; 7],
-    config: [u64; 4],
+    // Crate-visible so the disk-cache codec (`crate::disk`) can write and rebuild keys
+    // field by field; everything else builds keys through [`SimKey::new`].
+    pub(crate) kernel: u64,
+    pub(crate) tech: String,
+    pub(crate) arc: TimingArc,
+    pub(crate) point: [u64; 3],
+    pub(crate) seed: [u64; 7],
+    pub(crate) config: [u64; 4],
 }
 
 /// The bit pattern of `value` with negative zero folded onto positive zero.
@@ -196,67 +198,6 @@ pub fn bits_from_value<const N: usize>(value: &Value, field: &str) -> Result<[u6
         })?;
     }
     Ok(bits)
-}
-
-impl Serialize for SimKey {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "kernel".to_string(),
-                Value::String(format!("{:x}", self.kernel)),
-            ),
-            ("tech".to_string(), self.tech.to_value()),
-            ("arc".to_string(), self.arc.to_value()),
-            ("point".to_string(), bits_to_value(&self.point)),
-            ("seed".to_string(), bits_to_value(&self.seed)),
-            ("config".to_string(), bits_to_value(&self.config)),
-        ])
-    }
-}
-
-impl Deserialize for SimKey {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| SerdeError::expected("object", value))?;
-        // Records written before the kernel field existed were produced by the seed RK4
-        // solver; keying them as the legacy version keeps old persisted caches loadable
-        // while guaranteeing they never answer a current-kernel lookup.
-        let kernel = match value.get("kernel") {
-            None => LEGACY_KERNEL_VERSION,
-            Some(field) => {
-                let text = field
-                    .as_str()
-                    .ok_or_else(|| SerdeError::expected("hex kernel version", field))?;
-                u64::from_str_radix(text, 16).map_err(|_| {
-                    SerdeError::custom(format!("`{text}` is not a hex kernel version"))
-                })?
-            }
-        };
-        Ok(Self {
-            kernel,
-            tech: serde::field(entries, "tech")?,
-            arc: serde::field(entries, "arc")?,
-            point: bits_from_value(
-                value
-                    .get("point")
-                    .ok_or_else(|| SerdeError::missing_field("point"))?,
-                "point",
-            )?,
-            seed: bits_from_value(
-                value
-                    .get("seed")
-                    .ok_or_else(|| SerdeError::missing_field("seed"))?,
-                "seed",
-            )?,
-            config: bits_from_value(
-                value
-                    .get("config")
-                    .ok_or_else(|| SerdeError::missing_field("config"))?,
-                "config",
-            )?,
-        })
-    }
 }
 
 /// Anything that can go wrong opening or persisting a durable simulation cache (see
@@ -561,11 +502,23 @@ mod tests {
         let _ = SimKey::new("n14", &arc, &point, &bad, &TransientConfig::fast());
     }
 
+    /// One log line holding `key` (and a fixed measurement), as the disk cache writes it.
+    fn log_line(key: &SimKey) -> String {
+        let mut line = String::new();
+        let m = TimingMeasurement::new(Seconds(1e-12), Seconds(2e-12));
+        crate::disk::encode(&mut line, key, &m);
+        line
+    }
+
+    fn parse_key(line: &str) -> Result<SimKey, String> {
+        crate::disk::decode(line).map(|(key, _)| key)
+    }
+
     #[test]
     fn sim_key_round_trips_through_json() {
         let original = key(5.000000001);
-        let text = serde_json::to_string(&original).expect("key serializes");
-        let back: SimKey = serde_json::from_str(&text).expect("key parses");
+        let text = log_line(&original);
+        let back: SimKey = parse_key(&text).expect("key parses");
         assert_eq!(back, original, "bit patterns must survive the round trip");
     }
 
@@ -574,32 +527,29 @@ mod tests {
         // A record persisted before the kernel field existed: strip the field from a
         // current key's JSON, exactly as a pre-upgrade log line would look.
         let current = key(5.0);
-        let text = serde_json::to_string(&current).unwrap();
+        let text = log_line(&current);
         let kernel_field = format!("\"kernel\":\"{KERNEL_VERSION:x}\",");
         assert!(
             text.contains(&kernel_field),
             "current keys persist a version"
         );
         let legacy_text = text.replace(&kernel_field, "");
-        let legacy: SimKey = serde_json::from_str(&legacy_text).expect("legacy record parses");
+        let legacy: SimKey = parse_key(&legacy_text).expect("legacy record parses");
         assert_ne!(
             legacy, current,
             "a pre-upgrade record must never answer a current-kernel lookup"
         );
         // And a legacy key survives its own round trip unchanged.
-        let back: SimKey = serde_json::from_str(&serde_json::to_string(&legacy).unwrap()).unwrap();
+        let back: SimKey = parse_key(&log_line(&legacy)).unwrap();
         assert_eq!(back, legacy);
     }
 
     #[test]
     fn sim_key_rejects_malformed_bit_patterns() {
-        let text = serde_json::to_string(&key(5.0)).unwrap();
+        let text = log_line(&key(5.0));
         let broken = text.replace("\"point\":[\"", "\"point\":[\"zz");
         assert!(
-            serde_json::from_str::<SimKey>(&broken)
-                .unwrap_err()
-                .to_string()
-                .contains("hex"),
+            parse_key(&broken).unwrap_err().contains("hex"),
             "corrupt hex must be reported"
         );
     }

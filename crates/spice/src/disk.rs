@@ -2,11 +2,11 @@
 //!
 //! [`DiskSimCache`] persists `SimKey → TimingMeasurement` pairs as a JSON-lines append
 //! log.  Opening a cache loads every archived record into memory; `store` archives new
-//! records in memory and queues one JSON line each; [`flush`](DiskSimCache::flush) appends
-//! the queued lines to the log (and runs automatically on drop).  Append-only persistence
-//! means shard workers of a split [`CharacterizationPlan`] and later reruns all
-//! warm-start from the same file: a rerun of an already-characterized shard pays zero
-//! transient simulations.
+//! records in memory and appends each new or changed one as a finished line to one
+//! pending buffer; [`flush`](DiskSimCache::flush) appends that buffer to the log in one
+//! write (and runs automatically on drop).  Append-only persistence means shard workers
+//! of a split [`CharacterizationPlan`] and later reruns all warm-start from the same
+//! file: a rerun of an already-characterized shard pays zero transient simulations.
 //!
 //! Reads and appends go through the workspace's JSON-lines append log
 //! ([`slic_obs::jsonl`]: shared advisory lock for load, exclusive for flush), so
@@ -16,25 +16,345 @@
 //! when they started.  The in-memory side mirrors [`InMemorySimCache`]'s 16-way sharding,
 //! keeping warm-replay lookups contention-free under rayon.
 //!
+//! # Record codec
+//!
 //! The log is human-readable and diffable: one record per line, floating-point cache
-//! coordinates hex-encoded so every bit pattern round-trips exactly.
+//! coordinates hex-encoded so every bit pattern round-trips exactly.  One codec is the
+//! only writer and reader of those lines — `store`, `open` and compaction all go
+//! through it, with no intermediate JSON tree.  `encode` appends a record's line
+//! straight into a `String`:
+//!
+//! ```text
+//! {"key":{"kernel":"3","tech":"n14","arc":{"cell":{"kind":"Inv","drive":"X1"},"input_pin":0,
+//!  "output_transition":"Rise"},"point":[3 × hex],"seed":[7 × hex],"config":[4 × hex]},
+//!  "measurement":{"delay":7.855255862395494e-12,"output_slew":1.1965376875976381e-11}}
+//! ```
+//!
+//! (one physical line, no whitespace).  Keys keep this order, bit patterns are 16-digit
+//! lowercase hex, the kernel version is unpadded hex, the technology name is escaped as
+//! JSON requires, and numbers are printed as integers when integral and below 2^53,
+//! otherwise in Rust's shortest round-trip form — byte for byte what the workspace's
+//! `serde_json` writes for the same record, so logs are unchanged from earlier builds.
+//!
+//! `decode` parses one line with a byte cursor (hex via `u64::from_str_radix`,
+//! numbers via `str::parse::<f64>`, as `serde_json` reads them).  It accepts exactly
+//! the two layouts this program has ever written: the original records with no
+//! `kernel` entry (keyed as the legacy kernel 1, see
+//! [`KERNEL_VERSION`](crate::cache::KERNEL_VERSION)) and records with the `kernel` entry
+//! first.  Any other line — reordered or missing keys, whitespace, non-finite numbers,
+//! an input pin the cell does not have — is [`CacheError::Corrupt`], under the same
+//! torn-tail and quarantine rules as any other damaged line.
 //!
 //! [`CharacterizationPlan`]: ../../slic_pipeline/plan/struct.CharacterizationPlan.html
 //! [`InMemorySimCache`]: crate::cache::InMemorySimCache
 
-use crate::cache::{CacheError, InMemorySimCache, SimKey, SimulationCache};
+use crate::cache::{CacheError, InMemorySimCache, SimKey, SimulationCache, LEGACY_KERNEL_VERSION};
 use crate::measure::TimingMeasurement;
-use serde::{Deserialize, Serialize};
-use std::fmt;
+use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
+use slic_units::Seconds;
+use std::fmt::{self, Write as _};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// One archived simulation, as written to the log.
-#[derive(Serialize, Deserialize)]
-struct DiskRecord {
-    key: SimKey,
-    measurement: TimingMeasurement,
+/// Appends the log line of one record to `out`, without its newline (see the module
+/// docs for the layout).
+pub(crate) fn encode(out: &mut String, key: &SimKey, measurement: &TimingMeasurement) {
+    let arc = key.arc;
+    out.push_str("{\"key\":{\"kernel\":\"");
+    let _ = write!(out, "{:x}", key.kernel);
+    out.push_str("\",\"tech\":");
+    push_json_string(out, &key.tech);
+    out.push_str(",\"arc\":{\"cell\":{\"kind\":\"");
+    out.push_str(kind_name(arc.cell().kind()));
+    out.push_str("\",\"drive\":\"");
+    out.push_str(drive_name(arc.cell().drive()));
+    out.push_str("\"},\"input_pin\":");
+    let _ = write!(out, "{}", arc.input_pin());
+    out.push_str(",\"output_transition\":\"");
+    out.push_str(transition_name(arc.output_transition()));
+    out.push_str("\"},\"point\":");
+    push_hex_array(out, &key.point);
+    out.push_str(",\"seed\":");
+    push_hex_array(out, &key.seed);
+    out.push_str(",\"config\":");
+    push_hex_array(out, &key.config);
+    out.push_str("},\"measurement\":{\"delay\":");
+    push_number(out, measurement.delay.value());
+    out.push_str(",\"output_slew\":");
+    push_number(out, measurement.output_slew.value());
+    out.push_str("}}");
+}
+
+/// Parses one log line into its record (see the module docs for the accepted layouts).
+///
+/// # Errors
+///
+/// Returns what failed to parse, and where, for any line outside those layouts.
+pub(crate) fn decode(line: &str) -> Result<(SimKey, TimingMeasurement), String> {
+    let mut cursor = Cursor { line, pos: 0 };
+    cursor.require("{\"key\":{")?;
+    let kernel = if cursor.eat("\"kernel\":") {
+        let kernel = cursor.hex("kernel")?;
+        cursor.require(",")?;
+        kernel
+    } else {
+        // Records written before the kernel field existed were produced by the seed RK4
+        // solver; keying them as the legacy version keeps old logs loadable while
+        // guaranteeing they never answer a current-kernel lookup.
+        LEGACY_KERNEL_VERSION
+    };
+    cursor.require("\"tech\":")?;
+    let tech = cursor.string()?;
+    cursor.require(",\"arc\":{\"cell\":{\"kind\":")?;
+    let kind = cursor.variant("kind", &CellKind::ALL, kind_name)?;
+    cursor.require(",\"drive\":")?;
+    let drive = cursor.variant("drive", &DriveStrength::ALL, drive_name)?;
+    cursor.require("},\"input_pin\":")?;
+    let pin = cursor.number()?;
+    cursor.require(",\"output_transition\":")?;
+    let transition = cursor.variant("output_transition", &Transition::BOTH, transition_name)?;
+    cursor.require("},\"point\":")?;
+    let point = cursor.hex_array("point")?;
+    cursor.require(",\"seed\":")?;
+    let seed = cursor.hex_array("seed")?;
+    cursor.require(",\"config\":")?;
+    let config = cursor.hex_array("config")?;
+    cursor.require("},\"measurement\":{\"delay\":")?;
+    let delay = cursor.number()?;
+    cursor.require(",\"output_slew\":")?;
+    let output_slew = cursor.number()?;
+    cursor.require("}}")?;
+    if cursor.pos != line.len() {
+        return Err(format!("trailing characters at byte {}", cursor.pos));
+    }
+    let cell = Cell::new(kind, drive);
+    let input_pin = (0..cell.input_count())
+        .find(|&index| index as f64 == pin)
+        .ok_or_else(|| {
+            format!(
+                "field `input_pin`: {pin} is not an input of {}",
+                cell.name()
+            )
+        })?;
+    let key = SimKey {
+        kernel,
+        tech,
+        arc: TimingArc::new(cell, input_pin, transition),
+        point,
+        seed,
+        config,
+    };
+    let measurement = TimingMeasurement {
+        delay: Seconds(delay),
+        output_slew: Seconds(output_slew),
+    };
+    Ok((key, measurement))
+}
+
+/// `s` as a JSON string literal, escaped exactly as the workspace's `serde_json` does.
+fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// `bits` as a JSON array of 16-digit lowercase hex strings.
+fn push_hex_array(out: &mut String, bits: &[u64]) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    out.push('[');
+    for (i, &word) in bits.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        for shift in (0..16).rev() {
+            out.push(char::from(DIGITS[((word >> (4 * shift)) & 0xf) as usize]));
+        }
+        out.push('"');
+    }
+    out.push(']');
+}
+
+/// A finite number as the workspace's `serde_json` prints it: an integer when integral
+/// and below 2^53, otherwise the shortest text that round-trips through
+/// `str::parse::<f64>`.
+fn push_number(out: &mut String, n: f64) {
+    // slic-lint: allow(F1) -- an exact integrality test, mirroring serde_json's writer byte for byte; a tolerance would change the log format.
+    if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n:?}");
+    }
+}
+
+/// The serialized variant names, which are the Rust identifiers (as `derive(Serialize)`
+/// writes them), not the Liberty-style display names.
+fn kind_name(kind: CellKind) -> &'static str {
+    match kind {
+        CellKind::Inv => "Inv",
+        CellKind::Buf => "Buf",
+        CellKind::Nand2 => "Nand2",
+        CellKind::Nand3 => "Nand3",
+        CellKind::Nor2 => "Nor2",
+        CellKind::Nor3 => "Nor3",
+        CellKind::Aoi21 => "Aoi21",
+        CellKind::Oai21 => "Oai21",
+    }
+}
+
+fn drive_name(drive: DriveStrength) -> &'static str {
+    match drive {
+        DriveStrength::X1 => "X1",
+        DriveStrength::X2 => "X2",
+        DriveStrength::X4 => "X4",
+    }
+}
+
+fn transition_name(transition: Transition) -> &'static str {
+    match transition {
+        Transition::Rise => "Rise",
+        Transition::Fall => "Fall",
+    }
+}
+
+/// A forward-only read position in one log line.  Every step either consumes exactly
+/// the expected bytes or reports the byte offset where the line departs from the layout.
+struct Cursor<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn rest(&self) -> &'a [u8] {
+        self.line.as_bytes().get(self.pos..).unwrap_or_default()
+    }
+
+    /// Consumes `literal` if the line continues with it.
+    fn eat(&mut self, literal: &str) -> bool {
+        let found = self.rest().starts_with(literal.as_bytes());
+        if found {
+            self.pos += literal.len();
+        }
+        found
+    }
+
+    fn require(&mut self, literal: &str) -> Result<(), String> {
+        if self.eat(literal) {
+            Ok(())
+        } else {
+            Err(format!("expected `{literal}` at byte {}", self.pos))
+        }
+    }
+
+    /// Consumes the next `len` bytes as text.
+    fn take(&mut self, len: usize) -> Result<&'a str, String> {
+        let text = self
+            .line
+            .get(self.pos..self.pos + len)
+            .ok_or_else(|| format!("invalid text at byte {}", self.pos))?;
+        self.pos += len;
+        Ok(text)
+    }
+
+    /// A string with no escapes (hex digits, variant names), without its quotes.
+    fn plain_string(&mut self) -> Result<&'a str, String> {
+        self.require("\"")?;
+        let len = self
+            .rest()
+            .iter()
+            .position(|&b| b == b'"')
+            .ok_or_else(|| format!("unterminated string at byte {}", self.pos))?;
+        let text = self.take(len)?;
+        self.pos += 1;
+        Ok(text)
+    }
+
+    /// A JSON string; only one that contains escapes goes through `serde_json`.
+    fn string(&mut self) -> Result<String, String> {
+        let start = self.pos;
+        self.require("\"")?;
+        let mut escaped = false;
+        let mut bytes = self.rest().iter().enumerate();
+        let len = loop {
+            match bytes.next() {
+                Some((_, b'\\')) => {
+                    escaped = true;
+                    bytes.next();
+                }
+                Some((i, b'"')) => break i,
+                Some(_) => {}
+                None => return Err(format!("unterminated string at byte {start}")),
+            }
+        };
+        let text = self.take(len)?;
+        self.pos += 1;
+        if escaped {
+            let quoted = self.line.get(start..self.pos).unwrap_or_default();
+            serde_json::from_str(quoted).map_err(|err| format!("string at byte {start}: {err}"))
+        } else {
+            Ok(text.to_string())
+        }
+    }
+
+    fn variant<T: Copy>(
+        &mut self,
+        field: &str,
+        all: &[T],
+        name: fn(T) -> &'static str,
+    ) -> Result<T, String> {
+        let text = self.plain_string()?;
+        all.iter()
+            .copied()
+            .find(|&value| name(value) == text)
+            .ok_or_else(|| format!("field `{field}`: unknown variant `{text}`"))
+    }
+
+    fn hex(&mut self, field: &str) -> Result<u64, String> {
+        let text = self.plain_string()?;
+        u64::from_str_radix(text, 16)
+            .map_err(|_| format!("field `{field}`: `{text}` is not a hex bit pattern"))
+    }
+
+    fn hex_array<const N: usize>(&mut self, field: &str) -> Result<[u64; N], String> {
+        self.require("[")?;
+        let mut bits = [0u64; N];
+        for (i, slot) in bits.iter_mut().enumerate() {
+            if i > 0 {
+                self.require(",")?;
+            }
+            *slot = self.hex(field)?;
+        }
+        self.require("]")?;
+        Ok(bits)
+    }
+
+    /// A finite JSON number: the run of number characters, parsed as `f64`.
+    fn number(&mut self) -> Result<f64, String> {
+        let start = self.pos;
+        let len = self
+            .rest()
+            .iter()
+            .take_while(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+            .count();
+        let text = self.take(len)?;
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(n),
+            _ => Err(format!("invalid number at byte {start}")),
+        }
+    }
 }
 
 /// What [`DiskSimCache::compact`] did to a log file.
@@ -77,8 +397,9 @@ pub struct CompactionOptions {
 pub struct DiskSimCache {
     path: PathBuf,
     memory: InMemorySimCache,
-    /// JSON lines archived since the last flush, in store order.
-    pending: Mutex<Vec<String>>,
+    /// Finished log lines (each newline-terminated) archived since the last flush, in
+    /// store order: the exact bytes the next flush appends.
+    pending: Mutex<String>,
 }
 
 impl fmt::Debug for DiskSimCache {
@@ -114,7 +435,7 @@ impl DiskSimCache {
         let cache = Self {
             path,
             memory: InMemorySimCache::new(),
-            pending: Mutex::new(Vec::new()),
+            pending: Mutex::new(String::new()),
         };
         let text = match slic_obs::jsonl::read_shared(&cache.path) {
             Ok(text) => text,
@@ -126,31 +447,31 @@ impl DiskSimCache {
             if line.trim().is_empty() {
                 continue;
             }
-            match serde_json::from_str::<DiskRecord>(line) {
-                Ok(record) => {
+            match decode(line) {
+                Ok((key, measurement)) => {
                     if index + 1 == lines.len() && !text.ends_with('\n') {
                         // A complete record whose trailing newline was lost in a crash:
                         // the next flush truncates every un-terminated byte, so queue the
                         // record for re-append or it would vanish from the log.
-                        cache
+                        let mut pending = cache
                             .pending
                             .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .push((*line).to_string());
+                            .unwrap_or_else(|poisoned| poisoned.into_inner());
+                        pending.push_str(line);
+                        pending.push('\n');
                     }
-                    cache.memory.insert_warm(record.key, record.measurement);
+                    cache.memory.insert_warm(key, measurement);
                 }
-                Err(err) if index + 1 == lines.len() && !text.ends_with('\n') => {
+                Err(_) if index + 1 == lines.len() && !text.ends_with('\n') => {
                     // A truncated final record from an interrupted append — recognizable
                     // by the missing trailing newline; the next flush truncates it away
                     // before appending. A *complete* (newline-terminated) corrupt line is
                     // real corruption and falls through to the error below.
-                    let _ = err;
                 }
-                Err(err) => {
+                Err(message) => {
                     return Err(CacheError::Corrupt {
                         line: index + 1,
-                        message: err.to_string(),
+                        message,
                     });
                 }
             }
@@ -247,32 +568,25 @@ impl DiskSimCache {
             if line.trim().is_empty() {
                 continue;
             }
-            match serde_json::from_str::<DiskRecord>(line) {
-                Ok(record) => {
-                    if options.drop_legacy && record.key.is_legacy_kernel() {
+            match decode(line) {
+                Ok((key, measurement)) => {
+                    if options.drop_legacy && key.is_legacy_kernel() {
                         dropped_legacy += 1;
                         continue;
                     }
                     records += 1;
-                    if latest
-                        .insert(record.key.clone(), record.measurement)
-                        .is_none()
-                    {
-                        order.push(record.key);
+                    if latest.insert(key.clone(), measurement).is_none() {
+                        order.push(key);
                     }
                 }
-                Err(err) if index + 1 == lines.len() && !text.ends_with('\n') => {
+                Err(_) if index + 1 == lines.len() && !text.ends_with('\n') => {
                     // Torn tail of a crashed append: repaired by the rewrite below.
-                    let _ = err;
                 }
-                Err(err) if options.quarantine => {
-                    let _ = err;
-                    quarantined.push(line);
-                }
-                Err(err) => {
+                Err(_) if options.quarantine => quarantined.push(line),
+                Err(message) => {
                     return Err(CacheError::Corrupt {
                         line: index + 1,
-                        message: err.to_string(),
+                        message,
                     });
                 }
             }
@@ -296,14 +610,7 @@ impl DiskSimCache {
         }
         let mut snapshot = String::new();
         for key in &order {
-            let record = DiskRecord {
-                key: key.clone(),
-                measurement: latest[key],
-            };
-            snapshot.push_str(
-                // slic-lint: allow(P1) -- structural: SimKey construction rejects NaN, so a stored record always serializes.
-                &serde_json::to_string(&record).expect("cache records contain only finite numbers"),
-            );
+            encode(&mut snapshot, key, &latest[key]);
             snapshot.push('\n');
         }
         file.seek(SeekFrom::Start(0))?;
@@ -352,19 +659,22 @@ impl SimulationCache for DiskSimCache {
     }
 
     fn store(&self, key: SimKey, measurement: TimingMeasurement) {
-        let line = serde_json::to_string(&DiskRecord {
-            key: key.clone(),
-            measurement,
-        })
-        // slic-lint: allow(P1) -- structural: SimKey construction rejects NaN, so a stored record always serializes.
-        .expect("cache records contain only finite numbers");
+        // A non-finite number has no JSON form: the line would brick every later `open`.
+        assert!(
+            measurement.delay.is_finite() && measurement.output_slew.is_finite(),
+            "cache records contain only finite numbers"
+        );
         // Re-storing the identical value (a benign replay) keeps the log clean; a changed
-        // value must be appended because loading is last-record-wins.
+        // value must be appended because loading is last-record-wins.  Only then is the
+        // record encoded, straight into the pending buffer.
+        let line_key = key.clone();
         if self.memory.archive(key, measurement) != Some(measurement) {
-            self.pending
+            let mut pending = self
+                .pending
                 .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .push(line);
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            encode(&mut pending, &line_key, &measurement);
+            pending.push('\n');
         }
     }
 
@@ -663,11 +973,8 @@ mod tests {
                 .append(true)
                 .open(&path)
                 .unwrap();
-            let line = serde_json::to_string(&DiskRecord {
-                key: key(5.0, 2.0),
-                measurement: measurement(99.0),
-            })
-            .unwrap();
+            let mut line = String::new();
+            encode(&mut line, &key(5.0, 2.0), &measurement(99.0));
             writeln!(file, "{line}").unwrap();
         }
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 3);
@@ -770,11 +1077,8 @@ mod tests {
                 (8.0, 22.0, ""),
                 (9.0, 23.0, "\"kernel\":\"2\","),
             ] {
-                let line = serde_json::to_string(&DiskRecord {
-                    key: key(k, 1.0),
-                    measurement: measurement(m),
-                })
-                .unwrap();
+                let mut line = String::new();
+                encode(&mut line, &key(k, 1.0), &measurement(m));
                 assert!(
                     line.contains(&kernel_field),
                     "current keys persist a version"
@@ -966,6 +1270,190 @@ mod tests {
         );
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&sidecar).ok();
+    }
+
+    #[test]
+    fn a_log_written_by_the_previous_binary_loads_and_re_encodes_byte_for_byte() {
+        // Written by the binary before the direct codec: the CI quick-profile shard
+        // 1/2 + 2/2 log (108 current-kernel records), then the three legacy lines of
+        // `drop_legacy_compaction_evicts_pre_upgrade_records_and_reports_them_separately`
+        // (two without a `kernel` entry, one stamped `"kernel":"2"`).
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/cache_log_parent.jsonl");
+        let cache = DiskSimCache::open(&path).expect("the previous binary's log loads");
+        assert_eq!(cache.len(), 111, "every record loads");
+        for k in [7.0, 8.0, 9.0] {
+            assert_eq!(
+                cache.lookup(&key(k, 1.0)),
+                None,
+                "legacy record at {k} answers a current lookup"
+            );
+        }
+        drop(cache);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 111);
+        let (current, legacy) = lines.split_at(108);
+        for line in current {
+            let (k, m) = decode(line).expect("decodes");
+            assert!(!k.is_legacy_kernel());
+            let mut again = String::new();
+            encode(&mut again, &k, &m);
+            assert_eq!(
+                &again, line,
+                "re-encoding must reproduce the line byte for byte"
+            );
+        }
+        for line in legacy {
+            let (k, _) = decode(line).expect("legacy layout decodes");
+            assert!(k.is_legacy_kernel(), "{line}");
+        }
+    }
+
+    /// The reference line of a record, built as an explicit `serde_json` value tree in
+    /// the layout the log has always had.
+    fn reference_line(key: &SimKey, m: &TimingMeasurement) -> String {
+        use serde::{Serialize, Value};
+        let object = |entries: Vec<(&str, Value)>| {
+            Value::Object(
+                entries
+                    .into_iter()
+                    .map(|(name, value)| (name.to_string(), value))
+                    .collect(),
+            )
+        };
+        let hex = |bits: &[u64]| {
+            Value::Array(
+                bits.iter()
+                    .map(|b| Value::String(format!("{b:016x}")))
+                    .collect(),
+            )
+        };
+        let tree = object(vec![
+            (
+                "key",
+                object(vec![
+                    ("kernel", Value::String(format!("{:x}", key.kernel))),
+                    ("tech", Value::String(key.tech.clone())),
+                    ("arc", key.arc.to_value()),
+                    ("point", hex(&key.point)),
+                    ("seed", hex(&key.seed)),
+                    ("config", hex(&key.config)),
+                ]),
+            ),
+            (
+                "measurement",
+                object(vec![
+                    ("delay", Value::Number(m.delay.value())),
+                    ("output_slew", Value::Number(m.output_slew.value())),
+                ]),
+            ),
+        ]);
+        serde_json::to_string(&tree).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #[test]
+        fn codec_matches_serde_json_and_round_trips(
+            raw in proptest::collection::vec(0u64..u64::MAX, 14),
+            picks in proptest::collection::vec(0usize..8, 14),
+            arc_pick in 0usize..1000,
+            tech_pick in 0usize..6,
+            kernel_pick in 0usize..4,
+            numbers in proptest::collection::vec(0usize..9, 2),
+            magnitudes in proptest::collection::vec(1e-14f64..1e-9, 2),
+        ) {
+            use crate::cache::{fold_zero_bits, KERNEL_VERSION};
+            // Special bit patterns mixed into arbitrary ones: zeros of both signs (folded
+            // as `SimKey::new` folds them), subnormals, the smallest normal, infinity.
+            let specials = [
+                0,
+                (-0.0f64).to_bits(),
+                1,
+                0x000f_ffff_ffff_ffff,
+                f64::MIN_POSITIVE.to_bits(),
+                f64::INFINITY.to_bits(),
+            ];
+            let bits: Vec<u64> = raw
+                .iter()
+                .zip(&picks)
+                .map(|(&r, &p)| fold_zero_bits(f64::from_bits(specials.get(p).copied().unwrap_or(r))))
+                .collect();
+            let kinds = CellKind::ALL;
+            let kind = kinds[arc_pick % kinds.len()];
+            let drive = DriveStrength::ALL[(arc_pick / 8) % 3];
+            let transition = Transition::BOTH[(arc_pick / 24) % 2];
+            let cell = Cell::new(kind, drive);
+            let pin = (arc_pick / 48) % cell.input_count();
+            let tech = ["n14", "target-14nm-finfet", "q\"uo\\te", "tab\tline\nfeed", "ctl\u{1}x", "ünï"]
+                [tech_pick];
+            let kernel = [KERNEL_VERSION, 1, 2, 0x1f][kernel_pick];
+            let key = SimKey {
+                kernel,
+                tech: tech.to_string(),
+                arc: TimingArc::new(cell, pin, transition),
+                point: [bits[0], bits[1], bits[2]],
+                seed: [bits[3], bits[4], bits[5], bits[6], bits[7], bits[8], bits[9]],
+                config: [bits[10], bits[11], bits[12], bits[13]],
+            };
+            // Integral values print as integers, exponents where shorter, 2^53 and above
+            // in float form; the rest are ordinary picosecond-scale values.
+            let pick_number = |choice: usize, magnitude: f64| {
+                [0.0, 2.0, 1e16, 1e-300, 9_007_199_254_740_992.0, 9_007_199_254_740_991.0, 5e-324, 12.5]
+                    .get(choice)
+                    .copied()
+                    .unwrap_or(magnitude)
+            };
+            let m = TimingMeasurement {
+                delay: Seconds(pick_number(numbers[0], magnitudes[0])),
+                output_slew: Seconds(pick_number(numbers[1], magnitudes[1]).max(5e-324)),
+            };
+            let mut line = String::new();
+            encode(&mut line, &key, &m);
+            proptest::prop_assert_eq!(&line, &reference_line(&key, &m));
+            let (back_key, back_m) = decode(&line).map_err(proptest::TestCaseError::fail)?;
+            proptest::prop_assert_eq!(&back_key, &key);
+            proptest::prop_assert_eq!(back_m.delay.value().to_bits(), m.delay.value().to_bits());
+            proptest::prop_assert_eq!(
+                back_m.output_slew.value().to_bits(),
+                m.output_slew.value().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_every_other_layout() {
+        let mut line = String::new();
+        let m = TimingMeasurement::new(Seconds(1.5e-11), Seconds(2e-11));
+        encode(&mut line, &key(5.0, 2.0), &m);
+        assert!(decode(&line).is_ok());
+        for (broken, why) in [
+            (line.replacen("\"tech\"", "\"tek\"", 1), "renamed key"),
+            (line.replacen("{\"key\":{", "{ \"key\":{", 1), "whitespace"),
+            (
+                line.replacen("\"input_pin\":0", "\"input_pin\":2", 1),
+                "pin out of range",
+            ),
+            (
+                line.replacen("\"input_pin\":0", "\"input_pin\":0.5", 1),
+                "fractional pin",
+            ),
+            (line.replacen("\"Nand2\"", "\"NAND2\"", 1), "display name"),
+            (
+                line.replacen("{\"delay\":", "{\"extra\":1,\"delay\":", 1),
+                "extra key",
+            ),
+            (
+                line.replace("\"delay\":1.5e-11", "\"delay\":1e999"),
+                "infinite number",
+            ),
+            (format!("{line} "), "trailing space"),
+            (line[..line.len() - 1].to_string(), "truncated"),
+        ] {
+            assert_ne!(broken, line, "{why}: the mutation must apply");
+            assert!(decode(&broken).is_err(), "{why}: {broken}");
+        }
     }
 
     #[test]

@@ -809,19 +809,6 @@ impl CharacterizationEngine {
         self.solve(&lanes)
     }
 
-    /// The same worklist as [`sweep`](Self::sweep), kept for callers written against the
-    /// batch-per-call form.  Nested inside another parallel loop it runs on the calling
-    /// thread, because the outer loop already holds the process's worker budget.
-    pub fn sweep_batch(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        points: &[InputPoint],
-        seed: &ProcessSample,
-    ) -> Vec<TimingMeasurement> {
-        self.sweep(cell, arc, points, seed)
-    }
-
     /// Simulates `arc` at every input point at the nominal corner.
     pub fn sweep_nominal(
         &self,
@@ -1050,18 +1037,6 @@ mod tests {
                 "batch lane must be bitwise equal to its scalar sim"
             );
         }
-    }
-
-    #[test]
-    fn sweep_batch_matches_parallel_sweep() {
-        let eng = engine();
-        let (cell, arc) = inv_fall();
-        let points = vec![pt(2.0, 1.0, 0.8), pt(5.0, 2.0, 0.9), pt(9.0, 4.0, 0.7)];
-        let seed = ProcessSample::nominal();
-        let single_thread = eng.sweep_batch(cell, &arc, &points, &seed);
-        let fanned_out = eng.sweep(cell, &arc, &points, &seed);
-        assert_eq!(single_thread, fanned_out);
-        assert_eq!(eng.simulation_count(), 6, "both paths count every lane");
     }
 
     #[test]
