@@ -29,12 +29,11 @@ fn k2_error(
     let nominal = ProcessSample::nominal();
     let mut rng = StdRng::seed_from_u64(55);
     let points = engine.input_space().sample_latin_hypercube(&mut rng, 2);
+    let solved = engine.solve(&points.iter().map(|&p| (cell, *arc, p, nominal)).collect());
     let samples: Vec<TimingSample> = points
         .iter()
-        .map(|p| {
-            let m = engine.simulate_nominal(cell, arc, p);
-            TimingSample::new(*p, engine.ieff(arc, p, &nominal), m.delay)
-        })
+        .zip(&solved)
+        .map(|(p, m)| TimingSample::new(*p, engine.ieff(arc, p, &nominal), m.delay))
         .collect();
     let fit = extractor.extract(&samples);
     let errors: Vec<f64> = validation
@@ -58,14 +57,12 @@ fn regenerate(db: &HistoricalDatabase) {
     let arc = TimingArc::new(cell, 0, Transition::Fall);
     let nominal = ProcessSample::nominal();
     let mut rng = StdRng::seed_from_u64(23);
-    let validation: Vec<(InputPoint, f64, Amperes)> = engine
-        .input_space()
-        .sample_uniform(&mut rng, 200)
+    let points = engine.input_space().sample_uniform(&mut rng, 200);
+    let solved = engine.solve(&points.iter().map(|&p| (cell, arc, p, nominal)).collect());
+    let validation: Vec<(InputPoint, f64, Amperes)> = points
         .into_iter()
-        .map(|p| {
-            let reference = engine.simulate_nominal(cell, &arc, &p).delay.value();
-            (p, reference, engine.ieff(&arc, &p, &nominal))
-        })
+        .zip(&solved)
+        .map(|(p, m)| (p, m.delay.value(), engine.ieff(&arc, &p, &nominal)))
         .collect();
 
     // Newest-first ordering: each step adds the next-older node.

@@ -30,12 +30,11 @@ fn k2_error(
     let nominal = ProcessSample::nominal();
     let mut rng = StdRng::seed_from_u64(77);
     let points = engine.input_space().sample_latin_hypercube(&mut rng, 2);
+    let solved = engine.solve(&points.iter().map(|&p| (cell, *arc, p, nominal)).collect());
     let samples: Vec<TimingSample> = points
         .iter()
-        .map(|p| {
-            let m = engine.simulate_nominal(cell, arc, p);
-            TimingSample::new(*p, engine.ieff(arc, p, &nominal), m.delay)
-        })
+        .zip(&solved)
+        .map(|(p, m)| TimingSample::new(*p, engine.ieff(arc, p, &nominal), m.delay))
         .collect();
     let fit = extractor.extract(&samples);
     let errors: Vec<f64> = validation
@@ -59,14 +58,12 @@ fn regenerate(db: &HistoricalDatabase) -> (CharacterizationEngine, HistoricalDat
     let arc = TimingArc::new(cell, 0, Transition::Fall);
     let nominal = ProcessSample::nominal();
     let mut rng = StdRng::seed_from_u64(13);
-    let validation: Vec<(InputPoint, f64, Amperes)> = engine
-        .input_space()
-        .sample_uniform(&mut rng, 200)
+    let points = engine.input_space().sample_uniform(&mut rng, 200);
+    let solved = engine.solve(&points.iter().map(|&p| (cell, arc, p, nominal)).collect());
+    let validation: Vec<(InputPoint, f64, Amperes)> = points
         .into_iter()
-        .map(|p| {
-            let reference = engine.simulate_nominal(cell, &arc, &p).delay.value();
-            (p, reference, engine.ieff(&arc, &p, &nominal))
-        })
+        .zip(&solved)
+        .map(|(p, m)| (p, m.delay.value(), engine.ieff(&arc, &p, &nominal)))
         .collect();
 
     let matched = db.select_technologies(&["hist-16nm-finfet", "hist-14nm-finfet"]);

@@ -17,20 +17,25 @@ fn collect_samples(
 ) -> (Vec<TimingSample>, Vec<TimingSample>) {
     let arc = TimingArc::new(cell, 0, transition);
     let nominal = ProcessSample::nominal();
+    let points: Vec<InputPoint> = [0.65, 0.72, 0.79, 0.86, 0.93, 1.0]
+        .iter()
+        .flat_map(|&vdd| {
+            [(1.0, 2.0), (2.5, 5.0), (4.5, 10.0)].map(|(cload, sin)| {
+                InputPoint::new(
+                    Seconds::from_picoseconds(sin),
+                    Farads::from_femtofarads(cload),
+                    Volts(vdd),
+                )
+            })
+        })
+        .collect();
+    let solved = engine.solve(&points.iter().map(|&p| (cell, arc, p, nominal)).collect());
     let mut delay = Vec::new();
     let mut slew = Vec::new();
-    for &vdd in &[0.65, 0.72, 0.79, 0.86, 0.93, 1.0] {
-        for &(cload, sin) in &[(1.0, 2.0), (2.5, 5.0), (4.5, 10.0)] {
-            let point = InputPoint::new(
-                Seconds::from_picoseconds(sin),
-                Farads::from_femtofarads(cload),
-                Volts(vdd),
-            );
-            let m = engine.simulate_nominal(cell, &arc, &point);
-            let ieff = engine.ieff(&arc, &point, &nominal);
-            delay.push(TimingSample::new(point, ieff, m.delay));
-            slew.push(TimingSample::new(point, ieff, m.output_slew));
-        }
+    for (&point, m) in points.iter().zip(&solved) {
+        let ieff = engine.ieff(&arc, &point, &nominal);
+        delay.push(TimingSample::new(point, ieff, m.delay));
+        slew.push(TimingSample::new(point, ieff, m.output_slew));
     }
     (delay, slew)
 }

@@ -15,20 +15,25 @@ fn collect_samples(
     let combos: Vec<(f64, f64)> = (0..14)
         .map(|i| (0.5 + 5.0 * i as f64 / 13.0, 1.0 + 13.0 * i as f64 / 13.0))
         .collect();
+    let points: Vec<InputPoint> = [0.7, 0.85, 1.0]
+        .iter()
+        .flat_map(|&vdd| {
+            combos.iter().map(move |&(cload, sin)| {
+                InputPoint::new(
+                    Seconds::from_picoseconds(sin),
+                    Farads::from_femtofarads(cload),
+                    Volts(vdd),
+                )
+            })
+        })
+        .collect();
+    let solved = engine.solve(&points.iter().map(|&p| (cell, arc, p, nominal)).collect());
     let mut delay = Vec::new();
     let mut slew = Vec::new();
-    for &vdd in &[0.7, 0.85, 1.0] {
-        for &(cload, sin) in &combos {
-            let point = InputPoint::new(
-                Seconds::from_picoseconds(sin),
-                Farads::from_femtofarads(cload),
-                Volts(vdd),
-            );
-            let m = engine.simulate_nominal(cell, &arc, &point);
-            let ieff = engine.ieff(&arc, &point, &nominal);
-            delay.push(TimingSample::new(point, ieff, m.delay));
-            slew.push(TimingSample::new(point, ieff, m.output_slew));
-        }
+    for (&point, m) in points.iter().zip(&solved) {
+        let ieff = engine.ieff(&arc, &point, &nominal);
+        delay.push(TimingSample::new(point, ieff, m.delay));
+        slew.push(TimingSample::new(point, ieff, m.output_slew));
     }
     (delay, slew)
 }

@@ -59,12 +59,11 @@ fn bench(c: &mut Criterion) {
     let nominal = ProcessSample::nominal();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
     let points = engine.input_space().sample_latin_hypercube(&mut rng, 2);
+    let solved = engine.solve(&points.iter().map(|&p| (cell, arc, p, nominal)).collect());
     let samples: Vec<TimingSample> = points
         .iter()
-        .map(|p| {
-            let m = engine.simulate_nominal(cell, &arc, p);
-            TimingSample::new(*p, engine.ieff(&arc, p, &nominal), m.delay)
-        })
+        .zip(&solved)
+        .map(|(p, m)| TimingSample::new(*p, engine.ieff(&arc, p, &nominal), m.delay))
         .collect();
     c.bench_function("fig6_map_extraction_k2", |b| {
         b.iter(|| extractor.extract(&samples))

@@ -73,8 +73,12 @@ fn bench(c: &mut Criterion) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
     let seeds = engine.tech().variation().sample_n(&mut rng, 40);
     let point = engine.input_space().center();
+    let ensemble: LaneSet = seeds
+        .iter()
+        .map(|&seed| (holder.cell, holder.arc, point, seed))
+        .collect();
     c.bench_function("fig7_monte_carlo_40_seeds_one_condition", |b| {
-        b.iter(|| engine.monte_carlo(holder.cell, &holder.arc, &point, &seeds))
+        b.iter(|| engine.solve(&ensemble))
     });
 }
 

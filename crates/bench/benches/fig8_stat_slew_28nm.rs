@@ -74,8 +74,9 @@ fn bench(c: &mut Criterion) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
     let seed = engine.tech().variation().sample(&mut rng);
     let points = engine.input_space().sample_latin_hypercube(&mut rng, 3);
+    let sweep: LaneSet = points.iter().map(|&p| (cell, arc, p, seed)).collect();
     c.bench_function("fig8_three_condition_seed_simulation", |b| {
-        b.iter(|| engine.sweep(cell, &arc, &points, &seed))
+        b.iter(|| engine.solve(&sweep))
     });
 }
 

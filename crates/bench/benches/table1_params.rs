@@ -16,12 +16,11 @@ fn fit_cell(
 ) -> (TimingParams, f64) {
     let arc = TimingArc::new(cell, 0, Transition::Fall);
     let nominal = ProcessSample::nominal();
+    let solved = engine.solve(&points.iter().map(|&p| (cell, arc, p, nominal)).collect());
     let samples: Vec<TimingSample> = points
         .iter()
-        .map(|p| {
-            let m = engine.simulate_nominal(cell, &arc, p);
-            TimingSample::new(*p, engine.ieff(&arc, p, &nominal), m.delay)
-        })
+        .zip(&solved)
+        .map(|(p, m)| TimingSample::new(*p, engine.ieff(&arc, p, &nominal), m.delay))
         .collect();
     let fit = LeastSquaresFitter::new().fit(&samples);
     let error = fit.params.mean_relative_error_percent(&samples);

@@ -1,9 +1,9 @@
 //! Shared scaffolding for the experiment-regeneration benches.
 //!
 //! Every table and figure of the paper has a bench target in `benches/`; each target first
-//! *regenerates the experiment data* (printed to stdout so `cargo bench` output doubles as
-//! the EXPERIMENTS.md source) and then lets Criterion time one representative kernel of that
-//! experiment.  The experiment sizes here are reduced relative to the paper (the paper's
+//! *regenerates the experiment data* and prints it to stdout as Markdown tables, then lets
+//! Criterion time one representative kernel of that experiment.  The stdout tables are
+//! the regenerated results; nothing records or gates them yet.  The experiment sizes here are reduced relative to the paper (the paper's
 //! baselines are 1000-point × 1000-seed HSPICE campaigns); the *shape* of every comparison —
 //! who wins, by roughly what factor, where the crossovers sit — is what the harness
 //! reproduces.

@@ -70,7 +70,7 @@ pub mod prelude {
     };
     pub use slic_lut::{grid_levels_for_budget, Lut3d, LutBuilder, NominalLut, StatisticalLut};
     pub use slic_spice::{
-        CharacterizationEngine, InputPoint, InputSpace, TimingMeasurement, TransientConfig,
+        CharacterizationEngine, InputPoint, InputSpace, LaneSet, TimingMeasurement, TransientConfig,
     };
     pub use slic_stats::{Gaussian, Histogram, KernelDensity, MultivariateGaussian, Summary};
     pub use slic_timing_model::{

@@ -427,21 +427,28 @@ fn table_values(
     slew_axis: &[f64],
     load_axis: &[f64],
 ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let mut delay_rows = Vec::with_capacity(slew_axis.len());
-    let mut slew_rows = Vec::with_capacity(slew_axis.len());
-    for &sin in slew_axis {
-        let mut delay_row = Vec::with_capacity(load_axis.len());
-        let mut slew_row = Vec::with_capacity(load_axis.len());
-        for &cload in load_axis {
-            let point = slic_spice::InputPoint::new(Seconds(sin), Farads(cload), vdd);
-            let m = engine.simulate_nominal(cell, arc, &point);
-            delay_row.push(m.delay.picoseconds());
-            slew_row.push(m.output_slew.picoseconds());
-        }
-        delay_rows.push(delay_row);
-        slew_rows.push(slew_row);
-    }
-    (delay_rows, slew_rows)
+    let nominal = slic_device::ProcessSample::nominal();
+    let solved = engine.solve(
+        &slew_axis
+            .iter()
+            .flat_map(|&sin| {
+                load_axis.iter().map(move |&cload| {
+                    let point = slic_spice::InputPoint::new(Seconds(sin), Farads(cload), vdd);
+                    (cell, *arc, point, nominal)
+                })
+            })
+            .collect(),
+    );
+    let rows = |ps: fn(&slic_spice::TimingMeasurement) -> f64| -> Vec<Vec<f64>> {
+        solved
+            .chunks(load_axis.len())
+            .map(|row| row.iter().map(ps).collect())
+            .collect()
+    };
+    (
+        rows(|m| m.delay.picoseconds()),
+        rows(|m| m.output_slew.picoseconds()),
+    )
 }
 
 fn render_table(group: &str, rows: &[Vec<f64>]) -> String {
@@ -667,7 +674,7 @@ mod tests {
         let nominal = slic_device::ProcessSample::nominal();
         for transition in Transition::BOTH {
             let arc = TimingArc::new(cell, 0, transition);
-            let ms = eng.sweep_nominal(cell, &arc, &points);
+            let ms = eng.solve(&points.iter().map(|&p| (cell, arc, p, nominal)).collect());
             let fitter = slic_timing_model::LeastSquaresFitter::new();
             let samples = |metric: fn(&slic_spice::TimingMeasurement) -> slic_units::Seconds| {
                 points

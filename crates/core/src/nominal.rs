@@ -305,8 +305,12 @@ impl<'a> NominalStudy<'a> {
 
         // Baseline: dense random validation set simulated directly.
         let validation = space.sample_uniform(&mut rng, self.config.validation_points);
+        let sweep = |points: &[InputPoint]| {
+            let lanes = points.iter().map(|&p| (cell, *arc, p, nominal)).collect();
+            self.engine.solve(&lanes)
+        };
         let counter_before = self.engine.simulation_count();
-        let reference_measurements = self.engine.sweep_nominal(cell, arc, &validation);
+        let reference_measurements = sweep(&validation);
         let baseline_simulations = self.engine.simulation_count() - counter_before;
         let reference: Vec<f64> = reference_measurements
             .iter()
@@ -340,7 +344,7 @@ impl<'a> NominalStudy<'a> {
                 StdRng::seed_from_u64(self.config.seed ^ (k as u64).wrapping_mul(0x9E37_79B9));
             let training_points = space.sample_latin_hypercube(&mut training_rng, k);
             let before = self.engine.simulation_count();
-            let training_measurements = self.engine.sweep_nominal(cell, arc, &training_points);
+            let training_measurements = sweep(&training_points);
             let model_simulations = self.engine.simulation_count() - before;
             let training_samples: Vec<TimingSample> = training_points
                 .iter()

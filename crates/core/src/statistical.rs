@@ -337,11 +337,14 @@ impl<'a> StatisticalStudy<'a> {
         // One cross-seed mega-batch instead of one sweep per seed: every
         // (training point, seed) lane enters the kernel as a single worklist, so the
         // SIMD dispatcher sees full quads even when the training grid is tiny.
-        let by_point = self
-            .engine
-            .monte_carlo_sweep(cell, arc, training_points, seeds);
+        let flat = self.engine.solve(
+            &training_points
+                .iter()
+                .flat_map(|&p| seeds.iter().map(move |&seed| (cell, *arc, p, seed)))
+                .collect(),
+        );
         for (s, seed) in seeds.iter().enumerate() {
-            let measurements: Vec<_> = by_point.iter().map(|row| row[s]).collect();
+            let measurements: Vec<_> = flat.chunks(seeds.len()).map(|row| row[s]).collect();
             let ieffs: Vec<_> = training_points
                 .iter()
                 .map(|p| self.engine.ieff(arc, p, seed))
@@ -384,9 +387,13 @@ impl<'a> StatisticalStudy<'a> {
 
         // Monte Carlo baseline: every validation point under every seed.
         let before = self.engine.simulation_count();
-        let baseline_grid = self
-            .engine
-            .monte_carlo_sweep(cell, arc, &validation, &seeds);
+        let flat = self.engine.solve(
+            &validation
+                .iter()
+                .flat_map(|&p| seeds.iter().map(move |&seed| (cell, *arc, p, seed)))
+                .collect(),
+        );
+        let baseline_grid: Vec<_> = flat.chunks(seeds.len()).collect();
         let baseline_simulations = self.engine.simulation_count() - before;
         let baseline_mean_delay: Vec<f64> = baseline_grid
             .iter()
@@ -586,7 +593,12 @@ impl<'a> StatisticalStudy<'a> {
         // Baseline Monte Carlo at the probe point.
         let baseline: Vec<f64> = self
             .engine
-            .monte_carlo(cell, arc, &point, &seeds)
+            .solve(
+                &seeds
+                    .iter()
+                    .map(|&seed| (cell, *arc, point, seed))
+                    .collect(),
+            )
             .iter()
             .map(|m| m.delay.value())
             .collect();
@@ -610,7 +622,9 @@ impl<'a> StatisticalStudy<'a> {
             .iter()
             .map(|seed| {
                 let grid = space.lut_grid(levels.0, levels.1, levels.2);
-                let measurements = self.engine.sweep(cell, arc, &grid, seed);
+                let measurements = self
+                    .engine
+                    .solve(&grid.iter().map(|&p| (cell, *arc, p, *seed)).collect());
                 let delays: Vec<f64> = measurements.iter().map(|m| m.delay.value()).collect();
                 let table = slic_lut::Lut3d::from_values(
                     grid.iter()

@@ -31,7 +31,7 @@
 //!
 //! Spawned stdio children get the same hang protection a TCP deadline provides: a
 //! watchdog thread arms around every pipe round trip and kills the child past
-//! [`BATCH_TIMEOUT`], which closes its pipes and fails the job over like a TCP timeout.
+//! `BATCH_TIMEOUT`, which closes its pipes and fails the job over like a TCP timeout.
 //!
 //! All resilience timing (backoff delays, heartbeat deadlines) is seeded or constant and
 //! stays strictly on the *scheduling* side: it decides when and where a lane is solved,

@@ -7,7 +7,7 @@ use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
 use slic_device::TechnologyNode;
 use slic_farm::{serve_listener, FarmBackend, FarmTuning, ServeOutcome, WorkerOptions};
 use slic_spice::{
-    CharacterizationEngine, InMemorySimCache, InputPoint, SimulationCache, TransientConfig,
+    CharacterizationEngine, InMemorySimCache, InputPoint, LaneSet, SimulationCache, TransientConfig,
 };
 use slic_units::{Farads, Seconds, Volts};
 use std::net::TcpListener;
@@ -49,6 +49,14 @@ fn inv_fall() -> (Cell, TimingArc) {
     (cell, TimingArc::new(cell, 0, Transition::Fall))
 }
 
+/// One nominal-corner lane of `arc` per point.
+fn nominal_sweep(cell: Cell, arc: TimingArc, points: &[InputPoint]) -> LaneSet {
+    points
+        .iter()
+        .map(|&p| (cell, arc, p, slic_device::ProcessSample::nominal()))
+        .collect()
+}
+
 fn grid(n: usize) -> Vec<InputPoint> {
     (0..n)
         .map(|i| {
@@ -76,15 +84,16 @@ fn two_worker_farm_is_bitwise_identical_to_local_and_pays_each_key_once() {
     let (cell, arc) = inv_fall();
     let points = grid(24);
 
-    let remote = farmed.sweep_nominal(cell, &arc, &points);
-    let reference = local.sweep_nominal(cell, &arc, &points);
+    let sweep = nominal_sweep(cell, arc, &points);
+    let remote = farmed.solve(&sweep);
+    let reference = local.solve(&sweep);
     assert_eq!(remote, reference, "farm lanes must be bitwise local lanes");
     assert_eq!(farmed.simulation_count(), 24);
     assert_eq!(cache.misses(), 24, "every unique coordinate paid once");
 
     // Warm replay: everything from the broker-side cache, the fleet is not consulted.
     let before = farm.stats();
-    let replay = farmed.sweep_nominal(cell, &arc, &points);
+    let replay = farmed.solve(&sweep);
     assert_eq!(replay, reference);
     assert_eq!(farmed.simulation_count(), 24, "replay pays nothing");
     assert_eq!(farm.stats(), before, "replay dispatches nothing");
@@ -122,9 +131,9 @@ fn killing_a_worker_mid_run_fails_over_and_preserves_bitwise_results() {
         if farm.stats().failovers > 0 {
             break;
         }
-        let nominal = slic_device::ProcessSample::nominal();
-        let remote = farmed.sweep(cell, &arc, points, &nominal);
-        let reference = local.sweep(cell, &arc, points, &nominal);
+        let sweep = nominal_sweep(cell, arc, points);
+        let remote = farmed.solve(&sweep);
+        let reference = local.solve(&sweep);
         assert_eq!(
             remote, reference,
             "a mid-run worker death must not change a single bit"
@@ -156,8 +165,9 @@ fn a_fully_dead_fleet_falls_back_to_local_solving() {
     let local = engine();
     let (cell, arc) = inv_fall();
     let points = grid(8);
-    let remote = farmed.sweep(cell, &arc, &points, &slic_device::ProcessSample::nominal());
-    let reference = local.sweep(cell, &arc, &points, &slic_device::ProcessSample::nominal());
+    let sweep = nominal_sweep(cell, arc, &points);
+    let remote = farmed.solve(&sweep);
+    let reference = local.solve(&sweep);
     assert_eq!(remote, reference);
     assert_eq!(farm.live_workers(), 0);
     let stats = farm.stats();
@@ -182,9 +192,9 @@ fn a_custom_technology_outside_the_catalogue_degrades_to_local_solving() {
         .expect("fast preset validates");
     let (cell, arc) = inv_fall();
     let points = grid(6);
-    let seed = slic_device::ProcessSample::nominal();
-    let remote = farmed.sweep(cell, &arc, &points, &seed);
-    let reference = local.sweep(cell, &arc, &points, &seed);
+    let sweep = nominal_sweep(cell, arc, &points);
+    let remote = farmed.solve(&sweep);
+    let reference = local.solve(&sweep);
     assert_eq!(remote, reference, "fallback must match the local backend");
     let stats = farm.stats();
     assert_eq!(stats.lanes_remote, 0, "nothing travelled");

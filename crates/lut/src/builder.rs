@@ -211,7 +211,14 @@ impl<'a> LutBuilder<'a> {
     ) -> NominalLut {
         let before = self.engine.simulation_count();
         let grid = self.grid(levels);
-        let measurements = self.engine.sweep_nominal(cell, arc, &grid.points());
+        let nominal = ProcessSample::nominal();
+        let measurements = self.engine.solve(
+            &grid
+                .points()
+                .into_iter()
+                .map(|point| (cell, *arc, point, nominal))
+                .collect(),
+        );
         NominalLut {
             simulation_cost: self.engine.simulation_count() - before,
             ..Self::from_measurements(&grid, &measurements)
@@ -247,8 +254,14 @@ impl<'a> LutBuilder<'a> {
         let mut std_d = Vec::new();
         let mut mean_s = Vec::new();
         let mut std_s = Vec::new();
-        for point in grid.points() {
-            let ensemble = self.engine.monte_carlo(cell, arc, &point, seeds);
+        let points = grid.points();
+        let solved = self.engine.solve(
+            &points
+                .iter()
+                .flat_map(|&point| seeds.iter().map(move |&seed| (cell, *arc, point, seed)))
+                .collect(),
+        );
+        for ensemble in solved.chunks(seeds.len()) {
             let delays: Vec<f64> = ensemble.iter().map(|m| m.delay.value()).collect();
             let slews: Vec<f64> = ensemble.iter().map(|m| m.output_slew.value()).collect();
             mean_d.push(moments::mean(&delays));
@@ -350,7 +363,8 @@ mod tests {
             Farads(lut.delay.cload_axis()[1]),
             Volts(lut.delay.vdd_axis()[1]),
         );
-        let direct = eng.simulate_nominal(cell, &arc, &node);
+        let direct =
+            eng.solve(&std::iter::once((cell, arc, node, ProcessSample::nominal())).collect())[0];
         let predicted = lut.predict(&node);
         assert!(
             (predicted.delay.value() - direct.delay.value()).abs() / direct.delay.value() < 1e-9
@@ -372,10 +386,12 @@ mod tests {
         // Validation points off the grid.
         let mut rng = StdRng::seed_from_u64(17);
         let validation = eng.input_space().sample_uniform(&mut rng, 40);
-        let reference: Vec<TimingMeasurement> = validation
-            .iter()
-            .map(|p| eng.simulate_nominal(cell, &arc, p))
-            .collect();
+        let reference: Vec<TimingMeasurement> = eng.solve(
+            &validation
+                .iter()
+                .map(|&p| (cell, arc, p, ProcessSample::nominal()))
+                .collect(),
+        );
         let err = |lut: &NominalLut| -> f64 {
             validation
                 .iter()

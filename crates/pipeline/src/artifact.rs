@@ -244,7 +244,7 @@ impl VariationSection {
 }
 
 /// The farm resilience record of a run: fleet health and the degradation-ladder
-/// counters ([`slic_farm::FarmStats`] plus fleet shape, carried across the crate
+/// counters (`slic_farm::FarmStats` plus fleet shape, carried across the crate
 /// boundary as plain fields).
 ///
 /// This section is **display-only**: it feeds the dispatch summary and

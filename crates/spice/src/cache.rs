@@ -16,7 +16,8 @@
 //! solve that was actually paid and archived.  A lookup that falls through is *not*
 //! counted on its own: under the engine's single-flight coordination a request that
 //! arrives while the same coordinate is already being solved waits and is then answered
-//! from the cache (one hit), so every `simulate` request contributes exactly one hit or
+//! from the cache (one hit), so every request of a
+//! [`solve`](crate::engine::CharacterizationEngine::solve) contributes exactly one hit or
 //! one miss and the totals are deterministic regardless of thread interleaving.
 //!
 //! [`CharacterizationEngine`]: crate::engine::CharacterizationEngine
@@ -107,7 +108,7 @@ impl SimKey {
     ///
     /// # Panics
     ///
-    /// Panics if any floating-point coordinate is NaN (see [`key_bits`]).
+    /// Panics if any floating-point coordinate is NaN (see `key_bits`).
     pub fn new(
         tech: &str,
         arc: &TimingArc,

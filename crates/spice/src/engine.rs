@@ -1,15 +1,15 @@
 //! The characterization engine: the workspace's stand-in for "HSPICE plus a deck generator".
 //!
-//! A [`CharacterizationEngine`] is bound to one [`TechnologyNode`] and provides the three
-//! operations every experiment in the paper is built from:
-//!
-//! 1. single switching-event simulations (`.TRAN` on one arc at one input condition),
-//! 2. sweeps over many input conditions for a fixed process seed (the `.ALTER` loop), and
-//! 3. Monte Carlo ensembles over process seeds at fixed input conditions.
-//!
-//! Sweeps and ensembles are thin wrappers over one worklist entry point,
-//! [`CharacterizationEngine::solve`], which takes a compact [`LaneSet`], deduplicates it
-//! by cache key and pays the missing keys in full-quad batches on one flat worker pool.
+//! A [`CharacterizationEngine`] is bound to one [`TechnologyNode`].  Every experiment in
+//! the paper is built from three oracle operations — single switching-event simulations
+//! (`.TRAN` on one arc at one input condition), sweeps over input conditions for a fixed
+//! process seed (the `.ALTER` loop) and Monte Carlo ensembles over process seeds — and all
+//! three are one request: "simulate these (arc, input point, process seed) lanes".  The
+//! engine has one entry point for it, [`CharacterizationEngine::solve`], which takes a
+//! compact [`LaneSet`], deduplicates it by cache key and pays the missing keys in
+//! full-quad batches on one flat worker pool.  A caller builds the set it needs, for
+//! example `points.iter().map(|&p| (cell, arc, p, seed)).collect()`, and reads the
+//! lane-ordered result back.
 //!
 //! Every transient simulation increments a shared [`SimulationCounter`].  The paper's
 //! reported speedups are ratios of simulation counts at equal accuracy, so the counter is
@@ -32,9 +32,6 @@ use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// One fully-specified lane of a mixed worklist: cell, arc, input point and process seed.
-pub type MixedLane = (Cell, TimingArc, InputPoint, ProcessSample);
 
 /// Lanes per backend batch of a [`solve`](CharacterizationEngine::solve): a multiple of
 /// four so the SIMD kernel's quads fill, small enough that every worker has several
@@ -123,7 +120,8 @@ pub struct DispatchSnapshot {
     pub lanes_cached: u64,
     /// Lanes this engine claimed and paid for in a batched worklist.
     pub lanes_claimed: u64,
-    /// Requests that waited on an in-flight claim of their coordinate.
+    /// Requests that waited on an in-flight claim of their coordinate — also when the
+    /// owner panicked and the waiter then claimed and paid the coordinate itself.
     pub lanes_deferred: u64,
 }
 
@@ -138,27 +136,8 @@ struct InFlight {
     done: Condvar,
 }
 
-/// Removes an in-flight claim when the owning solve finishes — including by panic, so
-/// sibling workers waiting on the coordinate wake up and retry instead of hanging.
-struct InFlightClaim<'a> {
-    inflight: &'a InFlight,
-    key: &'a SimKey,
-}
-
-impl Drop for InFlightClaim<'_> {
-    fn drop(&mut self) {
-        let mut keys = self
-            .inflight
-            .keys
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        keys.remove(self.key);
-        self.inflight.done.notify_all();
-    }
-}
-
-/// Removes a *set* of in-flight claims when a batched solve finishes — including by
-/// panic, so workers waiting on any of the coordinates wake up and retry.
+/// Removes one batch's in-flight claims when its backend call finishes — including by
+/// panic, so batches waiting on any of the keys wake up and claim what is still missing.
 struct BatchClaims<'a> {
     inflight: &'a InFlight,
     keys: Vec<SimKey>,
@@ -282,7 +261,7 @@ impl CharacterizationEngine {
         self
     }
 
-    /// Attaches a simulation cache.  Subsequent [`simulate`](Self::simulate) calls answer
+    /// Attaches a simulation cache.  Subsequent [`solve`](Self::solve) calls answer
     /// repeated coordinates from the cache without running the solver and without
     /// incrementing the simulation counter.
     #[must_use]
@@ -388,110 +367,6 @@ impl CharacterizationEngine {
             .ieff(arc, point.vdd)
     }
 
-    /// Runs one transient simulation of `arc` at `point` under process seed `seed`.
-    ///
-    /// With a cache attached, concurrent requests for one coordinate are single-flighted:
-    /// the first requester solves while the others wait and are then answered from the
-    /// cache, so each unique coordinate is simulated (and counted) exactly once per
-    /// process and the run's cost totals are deterministic under any thread schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transient solver cannot complete the transition — with the supported
-    /// technologies and the paper input space this only happens for unphysical inputs, and
-    /// failing loudly is preferable to silently corrupting a characterization campaign.
-    pub fn simulate(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        point: &InputPoint,
-        seed: &ProcessSample,
-    ) -> TimingMeasurement {
-        let Some(cache) = self.cache.as_ref() else {
-            return self.solve_one(cell, arc, point, seed);
-        };
-        let key = SimKey::new(self.tech.name(), arc, point, seed, &self.config);
-        if let Some(measurement) = cache.lookup(&key) {
-            return measurement;
-        }
-        // Miss: claim the coordinate, or wait for whichever worker already owns it.
-        {
-            // A poisoned in-flight set only means a sibling solve panicked; its claim was
-            // already released by InFlightClaim's Drop, so the set is consistent — recover
-            // it instead of cascading the panic into every waiting worker.
-            let mut keys = self
-                .inflight
-                .keys
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            loop {
-                if let Some(measurement) = cache.lookup(&key) {
-                    return measurement;
-                }
-                if !keys.contains(&key) {
-                    keys.insert(key.clone());
-                    break;
-                }
-                keys = self
-                    .inflight
-                    .done
-                    .wait(keys)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-        }
-        let claim = InFlightClaim {
-            inflight: &self.inflight,
-            key: &key,
-        };
-        let measurement = self.solve_one(cell, arc, point, seed);
-        cache.store(key.clone(), measurement);
-        drop(claim);
-        measurement
-    }
-
-    /// Assembles the backend request for one lane.
-    fn request(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        point: &InputPoint,
-        seed: &ProcessSample,
-    ) -> SimRequest {
-        SimRequest {
-            tech: self.tech.clone(),
-            cell,
-            arc: *arc,
-            point: *point,
-            seed: *seed,
-            config: self.config,
-        }
-    }
-
-    /// Runs the solver unconditionally (through the configured backend) and counts the
-    /// simulation.
-    fn solve_one(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        point: &InputPoint,
-        seed: &ProcessSample,
-    ) -> TimingMeasurement {
-        let request = self.request(cell, arc, point, seed);
-        self.counter.add(1);
-        self.backend
-            .solve_batch(std::slice::from_ref(&request))
-            .pop()
-            // slic-lint: allow(P1) -- one-request-in/one-result-out is the SimulationBackend contract; a short reply is a broken backend, not a recoverable state.
-            .expect("backend returns one result per request")
-            .unwrap_or_else(|err| {
-                // slic-lint: allow(P1) -- a failed transient means unphysical inputs or a diverged solver; archiving a partial table would poison every downstream artifact, so failing loudly is the contract.
-                panic!(
-                    "transient simulation failed for {} at {point}: {err}",
-                    arc.id()
-                )
-            })
-    }
-
     /// The cache key of lane `lane` of `lanes`.
     fn key_of(&self, lanes: &LaneSet, lane: u32) -> SimKey {
         let (_, arc, point, seed) = lanes.lane(lane);
@@ -499,11 +374,9 @@ impl CharacterizationEngine {
     }
 
     /// Solves every lane of `lanes` and returns one measurement per lane, in lane order —
-    /// the engine's one worklist entry point; the sweep and Monte Carlo helpers below
-    /// build a [`LaneSet`] and call it.  Each result is bitwise identical to
-    /// [`simulate`](Self::simulate) at the same coordinates: how lanes are grouped into
-    /// batches changes only where and when the work runs, never what a run pays for or
-    /// produces.
+    /// the engine's only simulation entry point.  A lane's result depends only on its
+    /// coordinates: how lanes are grouped into sets and batches changes only where and
+    /// when the work runs, never what a run pays for or produces.
     ///
     /// With a cache attached, lanes are deduplicated by cache key.  Each distinct key
     /// gets one counted lookup; a miss is paid and stored once.  Every further request —
@@ -511,16 +384,24 @@ impl CharacterizationEngine {
     /// coordinates — is answered by a lookup after the store, so each request still
     /// resolves to exactly one cache hit or one miss.  The missing keys are solved in
     /// full-quad batches (lane counts that are multiples of four, except the tail) that
-    /// `available_parallelism` workers claim from one shared cursor, under the same
-    /// single-flight claims as [`simulate`](Self::simulate): a key already in flight on
-    /// another caller is waited for, never paid twice.  Without a cache every lane is
-    /// paid and a lane's repeats share its result.
+    /// `available_parallelism` workers claim from one shared cursor, under single-flight
+    /// claims shared by every clone of this engine: a key already in flight on another
+    /// caller is waited for, never paid twice.  Without a cache every lane is paid and a
+    /// lane's repeats share its result.
     ///
     /// Every request lands in exactly one dispatch bucket: *cached* (answered by a
     /// lookup that found an entry already there, or a declared repeat of a lane this
     /// call solved), *claimed* (paid by this call) or *deferred* (its key was in flight
     /// — claimed by another caller, or by an earlier lane of this call with the same
     /// coordinates — when it was dispatched).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transient solver cannot complete a transition — with the supported
+    /// technologies and the paper input space this only happens for unphysical inputs, and
+    /// failing loudly is preferable to silently corrupting a characterization campaign.
+    /// The panic releases this call's in-flight claims, so callers waiting on them claim
+    /// and pay the keys themselves.
     pub fn solve(&self, lanes: &LaneSet) -> Vec<TimingMeasurement> {
         let requests = lanes.request_count();
         let span = self.obs.trace.span(
@@ -541,6 +422,9 @@ impl CharacterizationEngine {
             self.dispatch
                 .cached
                 .fetch_add(requests - lanes.len() as u64, Ordering::Relaxed);
+            self.dispatch
+                .claimed
+                .fetch_add(lanes.len() as u64, Ordering::Relaxed);
             self.in_quad_batches(&all, span.id(), |batch, _| {
                 results.fill(
                     batch
@@ -641,19 +525,23 @@ impl CharacterizationEngine {
     }
 
     /// Pays for `batch` (lane indices of `lanes`) in one backend call, counting every
-    /// lane as a claimed simulation.
+    /// lane as a simulation.  The caller owns the dispatch bucket of each lane.
     fn pay(&self, lanes: &LaneSet, batch: &[u32]) -> Vec<TimingMeasurement> {
         let requests: Vec<SimRequest> = batch
             .iter()
             .map(|&lane| {
                 let (cell, arc, point, seed) = lanes.lane(lane);
-                self.request(cell, &arc, &point, &seed)
+                SimRequest {
+                    tech: self.tech.clone(),
+                    cell,
+                    arc,
+                    point,
+                    seed,
+                    config: self.config,
+                }
             })
             .collect();
         self.counter.add(batch.len() as u64);
-        self.dispatch
-            .claimed
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         let backend_span = self
             .obs
             .trace
@@ -672,7 +560,7 @@ impl CharacterizationEngine {
             .zip(requests)
             .map(|(result, request)| {
                 result.unwrap_or_else(|err| {
-                    // slic-lint: allow(P1) -- same contract as the scalar path: a failed transient must never be archived as a measurement.
+                    // slic-lint: allow(P1) -- a failed transient means unphysical inputs or a diverged solver; archiving a partial table would poison every downstream artifact, so failing loudly is the contract.
                     panic!(
                         "transient simulation failed for {} at {}: {err}",
                         request.arc.id(),
@@ -687,10 +575,13 @@ impl CharacterizationEngine {
     /// measurement per group.  Under the in-flight lock each group's primary lane is
     /// looked up again (a sibling may have stored it meanwhile), deferred when another
     /// caller holds its key, or claimed.  The claimed lanes are paid in one backend call
-    /// and stored; only after their claims are released are the deferred ones waited for
-    /// through the scalar single-flight path — waiting while holding claims could
-    /// deadlock two batches against each other.  Finally every further request of each
-    /// group is answered by a lookup after the store.
+    /// and stored, and their claims released.  Only then are the deferred keys waited
+    /// for — waiting while holding claims could deadlock two batches against each other
+    /// — until they leave the in-flight set, and the same lookup → claim → pay step runs
+    /// again for them: each is found in the cache, or, if its owner panicked before
+    /// storing it, claimed and paid here.  The dispatch bucket of every request comes from
+    /// the first round alone.  Finally every further request of each group is answered
+    /// by a lookup after the store.
     fn settle_batch<'g>(
         &self,
         lanes: &LaneSet,
@@ -706,52 +597,69 @@ impl CharacterizationEngine {
             .collect();
         let mut results: Vec<Option<TimingMeasurement>> = vec![None; batch.len()];
         let mut rehit: Vec<usize> = Vec::new();
-        let mut claimed: Vec<usize> = Vec::new();
-        let mut deferred: Vec<usize> = Vec::new();
-        {
-            let mut inflight = self
-                .inflight
-                .keys
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            for (i, key) in keys.iter().enumerate() {
-                if let Some(m) = cache.lookup(key) {
-                    results[i] = Some(m);
-                    rehit.push(i);
-                } else if inflight.contains(key) {
-                    deferred.push(i);
-                } else {
-                    inflight.insert(key.clone());
-                    claimed.push(i);
+        let mut first_deferred = 0;
+        let mut pending: Vec<usize> = (0..batch.len()).collect();
+        let mut first_round = true;
+        while !pending.is_empty() {
+            let mut hit: Vec<usize> = Vec::new();
+            let mut claimed: Vec<usize> = Vec::new();
+            let mut deferred: Vec<usize> = Vec::new();
+            {
+                let mut inflight = self
+                    .inflight
+                    .keys
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                while !first_round && pending.iter().any(|&i| inflight.contains(&keys[i])) {
+                    inflight = self
+                        .inflight
+                        .done
+                        .wait(inflight)
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+                }
+                for &i in &pending {
+                    if let Some(m) = cache.lookup(&keys[i]) {
+                        results[i] = Some(m);
+                        hit.push(i);
+                    } else if inflight.contains(&keys[i]) {
+                        deferred.push(i);
+                    } else {
+                        inflight.insert(keys[i].clone());
+                        claimed.push(i);
+                    }
                 }
             }
-        }
-        batch_span.attr("cached", rehit.len().to_string());
-        batch_span.attr("claimed", claimed.len().to_string());
-        batch_span.attr("deferred", deferred.len().to_string());
-
-        if !claimed.is_empty() {
-            let claims = BatchClaims {
-                inflight: &self.inflight,
-                keys: claimed.iter().map(|&i| keys[i].clone()).collect(),
-            };
-            let primaries: Vec<u32> = claimed.iter().map(|&i| group(batch[i])[0]).collect();
-            for (&i, m) in claimed.iter().zip(self.pay(lanes, &primaries)) {
-                cache.store(keys[i].clone(), m);
-                results[i] = Some(m);
+            if first_round {
+                batch_span.attr("cached", hit.len().to_string());
+                batch_span.attr("claimed", claimed.len().to_string());
+                batch_span.attr("deferred", deferred.len().to_string());
+                self.dispatch
+                    .claimed
+                    .fetch_add(claimed.len() as u64, Ordering::Relaxed);
+                rehit = hit;
+                first_deferred = deferred.len() as u64;
             }
-            drop(claims);
-        }
-        for &i in &deferred {
-            let (cell, arc, point, seed) = lanes.lane(group(batch[i])[0]);
-            results[i] = Some(self.simulate(cell, &arc, &point, &seed));
+            if !claimed.is_empty() {
+                let claims = BatchClaims {
+                    inflight: &self.inflight,
+                    keys: claimed.iter().map(|&i| keys[i].clone()).collect(),
+                };
+                let primaries: Vec<u32> = claimed.iter().map(|&i| group(batch[i])[0]).collect();
+                for (&i, m) in claimed.iter().zip(self.pay(lanes, &primaries)) {
+                    cache.store(keys[i].clone(), m);
+                    results[i] = Some(m);
+                }
+                drop(claims);
+            }
+            pending = deferred;
+            first_round = false;
         }
 
         // Every request beyond the primary's first: cached when the key was already in
         // the cache (a re-hit) or is a declared repeat of one lane; deferred for the
         // first request of each further lane with the key, which found it in flight.
         let mut cached = 0u64;
-        let mut waited = deferred.len() as u64;
+        let mut waited = first_deferred;
         for (i, &g) in batch.iter().enumerate() {
             let members = group(g);
             let n: u32 = members.iter().map(|&l| lanes.requests_of(l)).sum();
@@ -762,100 +670,13 @@ impl CharacterizationEngine {
                 waited += copies;
                 cached += u64::from(n) - 1 - copies;
             }
-            // slic-lint: allow(P1) -- structural: every batch index lands in exactly one of rehit/claimed/deferred above, each of which fills its slot.
+            // slic-lint: allow(P1) -- structural: the rounds above end only when every batch index was a hit or claimed and paid, each of which fills its slot.
             let m = results[i].expect("every lane resolved");
             results[i] = Some(replay(&keys[i], n - 1, m));
         }
         self.dispatch.cached.fetch_add(cached, Ordering::Relaxed);
         self.dispatch.deferred.fetch_add(waited, Ordering::Relaxed);
         results.into_iter().flatten().collect()
-    }
-
-    /// Simulates an arbitrary mixed worklist — lanes spanning cells, arcs, input points
-    /// and process seeds — through [`solve`](Self::solve).  Result `i` corresponds to
-    /// `lanes[i]`.
-    pub fn simulate_mixed(&self, lanes: &[MixedLane]) -> Vec<TimingMeasurement> {
-        let mut set = LaneSet::new();
-        for &(cell, arc, point, seed) in lanes {
-            set.push(cell, arc, point, seed);
-        }
-        self.solve(&set)
-    }
-
-    /// Runs one transient simulation at the nominal process corner.
-    pub fn simulate_nominal(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        point: &InputPoint,
-    ) -> TimingMeasurement {
-        self.simulate(cell, arc, point, &ProcessSample::nominal())
-    }
-
-    /// Simulates `arc` at every input point for a fixed process seed (the `.ALTER` sweep)
-    /// through [`solve`](Self::solve).  Result `i` corresponds to `points[i]` and is
-    /// bitwise identical to [`simulate`](Self::simulate) at that point.
-    pub fn sweep(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        points: &[InputPoint],
-        seed: &ProcessSample,
-    ) -> Vec<TimingMeasurement> {
-        let mut lanes = LaneSet::new();
-        for point in points {
-            lanes.push(cell, *arc, *point, *seed);
-        }
-        self.solve(&lanes)
-    }
-
-    /// Simulates `arc` at every input point at the nominal corner.
-    pub fn sweep_nominal(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        points: &[InputPoint],
-    ) -> Vec<TimingMeasurement> {
-        self.sweep(cell, arc, points, &ProcessSample::nominal())
-    }
-
-    /// Monte Carlo ensemble: simulates `arc` at one input point under every process seed
-    /// through [`solve`](Self::solve).  Element `i` of the result corresponds to
-    /// `seeds[i]` and is bitwise identical to [`simulate`](Self::simulate) under that seed.
-    pub fn monte_carlo(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        point: &InputPoint,
-        seeds: &[ProcessSample],
-    ) -> Vec<TimingMeasurement> {
-        self.monte_carlo_sweep(cell, arc, std::slice::from_ref(point), seeds)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Full statistical baseline: simulates every (input point, seed) pair through
-    /// [`solve`](Self::solve).
-    ///
-    /// The result is indexed `[point][seed]`.
-    pub fn monte_carlo_sweep(
-        &self,
-        cell: Cell,
-        arc: &TimingArc,
-        points: &[InputPoint],
-        seeds: &[ProcessSample],
-    ) -> Vec<Vec<TimingMeasurement>> {
-        let mut lanes = LaneSet::new();
-        for point in points {
-            for seed in seeds {
-                lanes.push(cell, *arc, *point, *seed);
-            }
-        }
-        let mut flat = self.solve(&lanes).into_iter();
-        points
-            .iter()
-            .map(|_| flat.by_ref().take(seeds.len()).collect())
-            .collect()
     }
 }
 
@@ -885,15 +706,23 @@ mod tests {
         )
     }
 
+    /// One nominal-corner lane of `arc` per point.
+    fn nominal_lanes(cell: Cell, arc: TimingArc, points: &[InputPoint]) -> LaneSet {
+        points
+            .iter()
+            .map(|&p| (cell, arc, p, ProcessSample::nominal()))
+            .collect()
+    }
+
     #[test]
     fn simulation_counter_counts_every_run() {
         let eng = engine();
         let (cell, arc) = inv_fall();
         assert_eq!(eng.simulation_count(), 0);
-        let _ = eng.simulate_nominal(cell, &arc, &pt(5.0, 2.0, 0.8));
+        let _ = eng.solve(&nominal_lanes(cell, arc, &[pt(5.0, 2.0, 0.8)]));
         assert_eq!(eng.simulation_count(), 1);
         let points = vec![pt(2.0, 1.0, 0.8), pt(5.0, 2.0, 0.9), pt(9.0, 4.0, 0.7)];
-        let _ = eng.sweep_nominal(cell, &arc, &points);
+        let _ = eng.solve(&nominal_lanes(cell, arc, &points));
         assert_eq!(eng.simulation_count(), 4);
         assert_eq!(eng.counter().reset(), 4);
         assert_eq!(eng.simulation_count(), 0);
@@ -904,7 +733,7 @@ mod tests {
         let eng = engine();
         let clone = eng.clone();
         let (cell, arc) = inv_fall();
-        let _ = clone.simulate_nominal(cell, &arc, &pt(5.0, 2.0, 0.8));
+        let _ = clone.solve(&nominal_lanes(cell, arc, &[pt(5.0, 2.0, 0.8)]));
         assert_eq!(eng.simulation_count(), 1);
     }
 
@@ -918,24 +747,17 @@ mod tests {
     }
 
     #[test]
-    fn sweep_results_match_individual_runs() {
-        let eng = engine();
-        let (cell, arc) = inv_fall();
-        let points = vec![pt(2.0, 1.0, 0.8), pt(8.0, 4.0, 0.7)];
-        let swept = eng.sweep_nominal(cell, &arc, &points);
-        for (p, m) in points.iter().zip(&swept) {
-            let single = eng.simulate_nominal(cell, &arc, p);
-            assert_eq!(*m, single, "sweep must be deterministic and ordered");
-        }
-    }
-
-    #[test]
     fn monte_carlo_produces_spread() {
         let eng = engine();
         let (cell, arc) = inv_fall();
         let mut rng = StdRng::seed_from_u64(11);
         let seeds = eng.tech().variation().sample_n(&mut rng, 48);
-        let ms = eng.monte_carlo(cell, &arc, &pt(5.0, 2.0, 0.8), &seeds);
+        let ms = eng.solve(
+            &seeds
+                .iter()
+                .map(|&seed| (cell, arc, pt(5.0, 2.0, 0.8), seed))
+                .collect(),
+        );
         assert_eq!(ms.len(), 48);
         let delays: Vec<f64> = ms.iter().map(|m| m.delay.value()).collect();
         let mean = delays.iter().sum::<f64>() / delays.len() as f64;
@@ -956,8 +778,14 @@ mod tests {
         let (cell, arc) = inv_fall();
         let mut rng = StdRng::seed_from_u64(3);
         let seeds = eng.tech().variation().sample_n(&mut rng, 5);
-        let points = vec![pt(2.0, 1.0, 0.8), pt(8.0, 4.0, 0.7), pt(5.0, 2.0, 0.9)];
-        let grid = eng.monte_carlo_sweep(cell, &arc, &points, &seeds);
+        let points = [pt(2.0, 1.0, 0.8), pt(8.0, 4.0, 0.7), pt(5.0, 2.0, 0.9)];
+        let flat = eng.solve(
+            &points
+                .iter()
+                .flat_map(|&p| seeds.iter().map(move |&seed| (cell, arc, p, seed)))
+                .collect(),
+        );
+        let grid: Vec<&[TimingMeasurement]> = flat.chunks(seeds.len()).collect();
         assert_eq!(grid.len(), 3);
         assert!(grid.iter().all(|row| row.len() == 5));
         assert_eq!(eng.simulation_count(), 15);
@@ -989,11 +817,11 @@ mod tests {
         let cache = Arc::new(InMemorySimCache::new());
         let eng = engine().with_cache(cache.clone());
         let (cell, arc) = inv_fall();
-        let point = pt(5.0, 2.0, 0.8);
-        let first = eng.simulate_nominal(cell, &arc, &point);
+        let point = nominal_lanes(cell, arc, &[pt(5.0, 2.0, 0.8)]);
+        let first = eng.solve(&point);
         assert_eq!(eng.simulation_count(), 1);
         assert_eq!(cache.hits(), 0);
-        let second = eng.simulate_nominal(cell, &arc, &point);
+        let second = eng.solve(&point);
         assert_eq!(second, first, "cache must replay the archived measurement");
         assert_eq!(
             eng.simulation_count(),
@@ -1002,7 +830,7 @@ mod tests {
         );
         assert_eq!(cache.hits(), 1);
         // A different coordinate still simulates.
-        let _ = eng.simulate_nominal(cell, &arc, &pt(6.0, 2.0, 0.8));
+        let _ = eng.solve(&nominal_lanes(cell, arc, &[pt(6.0, 2.0, 0.8)]));
         assert_eq!(eng.simulation_count(), 2);
     }
 
@@ -1015,28 +843,11 @@ mod tests {
         // Sixteen workers racing on one coordinate: single-flight must collapse them to
         // one paid solve; the other fifteen are answered from the cache (counted hits).
         let points = vec![pt(5.0, 2.0, 0.8); 16];
-        let measurements = eng.sweep_nominal(cell, &arc, &points);
+        let measurements = eng.solve(&nominal_lanes(cell, arc, &points));
         assert!(measurements.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(eng.simulation_count(), 1, "one coordinate, one solve");
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 15);
-    }
-
-    #[test]
-    fn monte_carlo_lanes_match_scalar_simulations_bitwise() {
-        let eng = engine();
-        let (cell, arc) = inv_fall();
-        let mut rng = StdRng::seed_from_u64(7);
-        let seeds = eng.tech().variation().sample_n(&mut rng, 9);
-        let point = pt(5.0, 2.0, 0.8);
-        let batched = eng.monte_carlo(cell, &arc, &point, &seeds);
-        for (seed, m) in seeds.iter().zip(&batched) {
-            let scalar = eng.simulate(cell, &arc, &point, seed);
-            assert_eq!(
-                *m, scalar,
-                "batch lane must be bitwise equal to its scalar sim"
-            );
-        }
     }
 
     #[test]
@@ -1047,11 +858,14 @@ mod tests {
         let (cell, arc) = inv_fall();
         let mut rng = StdRng::seed_from_u64(23);
         let seeds = eng.tech().variation().sample_n(&mut rng, 12);
-        let point = pt(5.0, 2.0, 0.8);
-        let first = eng.monte_carlo(cell, &arc, &point, &seeds);
+        let ensemble: LaneSet = seeds
+            .iter()
+            .map(|&seed| (cell, arc, pt(5.0, 2.0, 0.8), seed))
+            .collect();
+        let first = eng.solve(&ensemble);
         assert_eq!(eng.simulation_count(), 12);
         assert_eq!(cache.misses(), 12);
-        let second = eng.monte_carlo(cell, &arc, &point, &seeds);
+        let second = eng.solve(&ensemble);
         assert_eq!(
             second, first,
             "warm batch must replay archived measurements"
@@ -1065,30 +879,36 @@ mod tests {
     }
 
     #[test]
-    fn mixed_worklist_matches_scalar_simulations_bitwise() {
+    fn every_lane_matches_the_same_lane_solved_alone_bitwise() {
         let eng = engine();
         let inv = Cell::new(CellKind::Inv, DriveStrength::X1);
         let nand = Cell::new(CellKind::Nand2, DriveStrength::X2);
         let mut rng = StdRng::seed_from_u64(41);
         let seeds = eng.tech().variation().sample_n(&mut rng, 3);
-        // Lanes spanning cells, arcs, input points and seeds in one worklist.
-        let mut lanes: Vec<MixedLane> = Vec::new();
+        let points = [pt(2.0, 1.5, 0.8), pt(6.0, 3.0, 0.7), pt(11.0, 0.8, 0.9)];
+        // Lanes spanning cells, arcs, input points and seeds in one set, plus one
+        // duplicate coordinate.
+        let mut coordinates = Vec::new();
         for (cell, pin) in [(inv, 0), (nand, 1)] {
             for transition in [Transition::Fall, Transition::Rise] {
                 let arc = TimingArc::new(cell, pin, transition);
-                for (i, seed) in seeds.iter().enumerate() {
-                    lanes.push((cell, arc, pt(2.0 + 3.0 * i as f64, 1.5, 0.8), *seed));
+                for &point in &points {
+                    for &seed in &seeds {
+                        coordinates.push((cell, arc, point, seed));
+                    }
                 }
             }
         }
-        let batched = eng.simulate_mixed(&lanes);
-        assert_eq!(eng.simulation_count(), lanes.len() as u64);
-        let reference = engine();
-        for ((cell, arc, point, seed), m) in lanes.iter().zip(&batched) {
-            let scalar = reference.simulate(*cell, arc, point, seed);
+        coordinates.push(coordinates[7]);
+        let lanes: LaneSet = coordinates.iter().copied().collect();
+        let together = eng.solve(&lanes);
+        assert_eq!(together.len(), coordinates.len());
+        assert_eq!(eng.simulation_count(), coordinates.len() as u64);
+        for (&lane, m) in coordinates.iter().zip(&together) {
+            let alone = engine().solve(&std::iter::once(lane).collect());
             assert_eq!(
-                *m, scalar,
-                "mixed lane must be bitwise equal to its scalar sim"
+                *m, alone[0],
+                "a lane's bits must not depend on the set it was solved in"
             );
         }
     }
@@ -1138,11 +958,13 @@ mod tests {
 
     /// A backend that blocks every solve until the test opens a gate, so the test can
     /// pin one coordinate "in flight" while a batch on another thread dispatches it.
+    /// Optionally the first solve panics once the gate opens, as a failed owner would.
     #[derive(Debug)]
     struct GatedBackend {
         state: Mutex<(u64, bool)>,
         changed: Condvar,
         inner: LocalBackend,
+        panic_first: bool,
     }
 
     impl GatedBackend {
@@ -1151,6 +973,14 @@ mod tests {
                 state: Mutex::new((0, false)),
                 changed: Condvar::new(),
                 inner: LocalBackend::new(),
+                panic_first: false,
+            }
+        }
+
+        fn panicking_first() -> Self {
+            Self {
+                panic_first: true,
+                ..Self::new()
             }
         }
 
@@ -1177,11 +1007,13 @@ mod tests {
         fn solve_batch(&self, requests: &[SimRequest]) -> Vec<crate::backend::SimResult> {
             let mut state = self.state.lock().unwrap();
             state.0 += 1;
+            let call = state.0;
             self.changed.notify_all();
             while !state.1 {
                 state = self.changed.wait(state).unwrap();
             }
             drop(state);
+            assert!(!(self.panic_first && call == 1), "injected backend failure");
             self.inner.solve_batch(requests)
         }
     }
@@ -1199,10 +1031,12 @@ mod tests {
         let contended = pt(5.0, 2.0, 0.8);
         let fresh = pt(9.0, 4.0, 0.7);
 
-        // Worker A claims the contended coordinate through the scalar path and blocks
-        // inside the backend, holding its in-flight claim.
+        // Worker A claims the contended coordinate in a one-lane solve and blocks inside
+        // the backend, holding its in-flight claim.
         let eng_a = eng.clone();
-        let a = std::thread::spawn(move || eng_a.simulate(cell, &arc, &contended, &nominal));
+        let a = std::thread::spawn(move || {
+            eng_a.solve(&std::iter::once((cell, arc, contended, nominal)).collect())
+        });
         backend.wait_entered(1);
 
         // Worker B's worklist includes the contended coordinate: it must defer that
@@ -1220,18 +1054,79 @@ mod tests {
         let from_a = a.join().expect("worker A completes");
         let from_b = b.join().expect("worker B completes");
         assert_eq!(
-            from_b[0], from_a,
+            from_b[0], from_a[0],
             "the deferred lane resolves to the claim owner's measurement"
         );
         let stats = eng.dispatch_stats();
-        assert_eq!(stats.lanes_dispatched, 2, "only the batch dispatches lanes");
+        assert_eq!(
+            stats.lanes_dispatched, 3,
+            "both solves dispatch every lane they carry"
+        );
         assert_eq!(stats.lanes_cached, 0);
-        assert_eq!(stats.lanes_claimed, 1);
+        assert_eq!(stats.lanes_claimed, 2);
         assert_eq!(
             stats.lanes_deferred, 1,
             "the lane owned by worker A must be accounted as deferred"
         );
         assert_eq!(eng.simulation_count(), 2, "the contended lane is paid once");
+    }
+
+    #[test]
+    fn a_panicking_owner_releases_its_claim_to_the_deferred_waiter() {
+        use crate::cache::InMemorySimCache;
+        let backend = Arc::new(GatedBackend::panicking_first());
+        let cache = Arc::new(InMemorySimCache::new());
+        let eng = engine()
+            .with_cache(cache.clone())
+            .with_backend(backend.clone());
+        let (cell, arc) = inv_fall();
+        let nominal = ProcessSample::nominal();
+        let contended: LaneSet = std::iter::once((cell, arc, pt(5.0, 2.0, 0.8), nominal)).collect();
+
+        // Worker A claims the contended key and blocks inside the backend.
+        let eng_a = eng.clone();
+        let lanes_a = contended.clone();
+        let a = std::thread::spawn(move || eng_a.solve(&lanes_a));
+        backend.wait_entered(1);
+
+        // Worker B defers the contended key and pays the fresh one.
+        let eng_b = eng.clone();
+        let b = std::thread::spawn(move || {
+            let mut lanes = LaneSet::new();
+            lanes.push(cell, arc, pt(5.0, 2.0, 0.8), nominal);
+            lanes.push(cell, arc, pt(9.0, 4.0, 0.7), nominal);
+            eng_b.solve(&lanes)
+        });
+        backend.wait_entered(2);
+        // A's backend call now panics, releasing its claim; B must claim and pay the key.
+        backend.release();
+
+        assert!(a.join().is_err(), "worker A's solve panics");
+        let from_b = b.join().expect("worker B completes");
+        assert_eq!(
+            from_b[0],
+            engine().solve(&contended)[0],
+            "the re-claimed lane is bitwise equal to a fresh solve"
+        );
+        let stats = eng.dispatch_stats();
+        assert_eq!(stats.lanes_deferred, 1, "B's first classification stands");
+        assert_eq!(
+            stats.lanes_dispatched,
+            stats.lanes_cached + stats.lanes_claimed + stats.lanes_deferred,
+            "a re-claim must not move a request into a second bucket"
+        );
+
+        let hits = cache.hits();
+        let sims = eng.simulation_count();
+        assert_eq!(eng.solve(&contended), vec![from_b[0]]);
+        assert_eq!(cache.hits(), hits + 1, "the key is cached, not in flight");
+        assert_eq!(eng.simulation_count(), sims);
+        assert!(eng.inflight.keys.lock().unwrap().is_empty());
+        let stats = eng.dispatch_stats();
+        assert_eq!(
+            stats.lanes_dispatched,
+            stats.lanes_cached + stats.lanes_claimed + stats.lanes_deferred
+        );
     }
 
     /// A backend that counts the lanes it is asked to solve and delegates to the local
@@ -1266,11 +1161,12 @@ mod tests {
         assert_eq!(eng.backend().name(), "counting");
         let (cell, arc) = inv_fall();
         let points = vec![pt(2.0, 1.0, 0.8), pt(5.0, 2.0, 0.9), pt(9.0, 4.0, 0.7)];
-        let first = eng.sweep_nominal(cell, &arc, &points);
+        let sweep = nominal_lanes(cell, arc, &points);
+        let first = eng.solve(&sweep);
         assert_eq!(backend.lanes.load(Ordering::Relaxed), 3);
         assert_eq!(eng.simulation_count(), 3);
         // Warm replay: answered from the cache, so the backend must not be consulted.
-        let second = eng.sweep_nominal(cell, &arc, &points);
+        let second = eng.solve(&sweep);
         assert_eq!(second, first);
         assert_eq!(
             backend.lanes.load(Ordering::Relaxed),
@@ -1278,7 +1174,7 @@ mod tests {
             "cache hits bypass the backend"
         );
         // And a backend-routed lane is bitwise identical to the default local backend.
-        let local = engine().sweep_nominal(cell, &arc, &points);
+        let local = engine().solve(&sweep);
         assert_eq!(first, local);
     }
 
@@ -1293,8 +1189,9 @@ mod tests {
         .expect("fast preset validates")
         .with_shared_counter(counter.clone());
         let (cell, arc) = inv_fall();
-        let _ = a.simulate_nominal(cell, &arc, &pt(5.0, 2.0, 0.8));
-        let _ = b.simulate_nominal(cell, &arc, &pt(5.0, 2.0, 0.8));
+        let lane = nominal_lanes(cell, arc, &[pt(5.0, 2.0, 0.8)]);
+        let _ = a.solve(&lane);
+        let _ = b.solve(&lane);
         assert_eq!(counter.count(), 2);
     }
 }

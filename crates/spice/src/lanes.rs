@@ -166,6 +166,20 @@ impl LaneSet {
     }
 }
 
+/// Collects `(cell, arc, point, seed)` lanes in order, one request each, as repeated
+/// [`push`](LaneSet::push) calls would: lane `i` of the set is item `i`.
+impl FromIterator<(Cell, TimingArc, InputPoint, ProcessSample)> for LaneSet {
+    fn from_iter<I: IntoIterator<Item = (Cell, TimingArc, InputPoint, ProcessSample)>>(
+        iter: I,
+    ) -> Self {
+        let mut lanes = Self::new();
+        for (cell, arc, point, seed) in iter {
+            lanes.push(cell, arc, point, seed);
+        }
+        lanes
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

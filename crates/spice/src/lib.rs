@@ -22,8 +22,9 @@
 //! * [`lanes`] — the compact [`LaneSet`] worklist (interned arc/point/seed tables, index
 //!   triples per lane) that [`CharacterizationEngine::solve`] takes;
 //! * [`engine`] — the "simulator front-end": a [`CharacterizationEngine`] bound to one
-//!   technology that runs (and counts) simulations, sweeps and Monte Carlo ensembles, in
-//!   the role of the paper's SPICE + `.ALTER` + Monte Carlo flow.
+//!   technology whose one entry point, [`CharacterizationEngine::solve`], runs (and
+//!   counts) every lane of a [`LaneSet`] — single simulations, sweeps and Monte Carlo
+//!   ensembles alike, in the role of the paper's SPICE + `.ALTER` + Monte Carlo flow.
 //!
 //! Simulation counting matters: every speedup the paper reports is a ratio of *simulation
 //! counts* needed to reach equal accuracy, so [`engine::SimulationCounter`] is threaded
@@ -33,16 +34,20 @@
 //!
 //! ```
 //! use slic_cells::{Cell, CellKind, DriveStrength, TimingArc, Transition};
-//! use slic_device::TechnologyNode;
-//! use slic_spice::{CharacterizationEngine, InputPoint};
+//! use slic_device::{ProcessSample, TechnologyNode};
+//! use slic_spice::{CharacterizationEngine, InputPoint, LaneSet};
 //! use slic_units::{Farads, Seconds, Volts};
 //!
 //! let engine = CharacterizationEngine::new(TechnologyNode::n14_finfet());
 //! let cell = Cell::new(CellKind::Inv, DriveStrength::X1);
 //! let arc = TimingArc::new(cell, 0, Transition::Fall);
-//! let point = InputPoint::new(Seconds::from_picoseconds(5.0), Farads::from_femtofarads(2.0), Volts(0.8));
-//! let m = engine.simulate_nominal(cell, &arc, &point);
-//! assert!(m.delay.value() > 0.0 && m.output_slew.value() > 0.0);
+//! let loads = [1.0, 2.0, 4.0].map(|ff| {
+//!     InputPoint::new(Seconds::from_picoseconds(5.0), Farads::from_femtofarads(ff), Volts(0.8))
+//! });
+//! let lanes: LaneSet = loads.iter().map(|&p| (cell, arc, p, ProcessSample::nominal())).collect();
+//! let ms = engine.solve(&lanes);
+//! assert_eq!(engine.simulation_count(), 3);
+//! assert!(ms.windows(2).all(|w| w[1].delay > w[0].delay), "more load, more delay");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -61,9 +66,7 @@ pub mod transient;
 pub use backend::{KernelStatsSnapshot, LocalBackend, SimRequest, SimResult, SimulationBackend};
 pub use cache::{CacheError, InMemorySimCache, SimKey, SimulationCache, KERNEL_VERSION};
 pub use disk::{CompactionOptions, CompactionReport, DiskSimCache};
-pub use engine::{
-    CharacterizationEngine, ConfigError, DispatchSnapshot, MixedLane, SimulationCounter,
-};
+pub use engine::{CharacterizationEngine, ConfigError, DispatchSnapshot, SimulationCounter};
 pub use input::{InputPoint, InputSpace};
 pub use lanes::LaneSet;
 pub use measure::TimingMeasurement;

@@ -2,7 +2,7 @@
 //!
 //! Every production transient solve runs here — [`LocalBackend`](crate::LocalBackend),
 //! and therefore farm workers and the farm broker's local fallback, hand their batches to
-//! [`integrate_quads`].  Lanes are packed into **quads** and all four lanes'
+//! `integrate_quads`.  Lanes are packed into **quads** and all four lanes'
 //! Bogacki–Shampine stages are evaluated through the [`CompiledInverterX4`] vector model,
 //! whose transcendentals are the fixed-polynomial kernels of `slic_device::vmath` —
 //! arithmetic the autovectorizer keeps in vector registers.
@@ -16,7 +16,7 @@
 //! their quad slot but are masked out of the write-back, and a quad leaves the worklist
 //! when its last real lane retires.  The quad-occupancy statistic reports how many slots
 //! carried real unretired lanes.  Accept/reject, the PI controller, crossing recording
-//! and retirement run through the same [`LaneState::finish_attempt`] the scalar
+//! and retirement run through the same `LaneState::finish_attempt` the scalar
 //! embedded-pair kernel uses, so the two differ *only* in how the stage derivatives are
 //! computed.
 //!

@@ -7,9 +7,8 @@
 //! **mean / sigma / skewness** — the moment views a Liberty-Variation-Format consumer
 //! expects next to the nominal `cell_rise`/`cell_fall` tables.
 //!
-//! Everything routes through an existing
-//! [`CharacterizationEngine`](slic_spice::CharacterizationEngine), so the engine's
-//! simulation counter, cache, single-flight deduplication and pluggable
+//! Everything routes through one existing [`CharacterizationEngine`]'s `solve`, so the
+//! engine's simulation counter, cache, single-flight deduplication and pluggable
 //! [`SimulationBackend`](slic_spice::SimulationBackend) (local batched kernel or a
 //! `slic-farm` fleet) all apply per `(seed, point)` coordinate: a delay table and a slew
 //! table of one arc share their transients, shard workers against one disk cache pay each
@@ -351,10 +350,13 @@ impl<'a> VariationExtractor<'a> {
         load_axis: &[f64],
     ) -> VariationTable {
         let points = self.points(slew_axis, load_axis);
-        let grid = self
-            .engine
-            .monte_carlo_sweep(cell, arc, &points, &self.seeds);
-        self.reduce(arc, metric, slew_axis, load_axis, &grid.concat())
+        let measurements = self.engine.solve(
+            &points
+                .iter()
+                .flat_map(|&p| self.seeds.iter().map(move |&seed| (cell, *arc, p, seed)))
+                .collect(),
+        );
+        self.reduce(arc, metric, slew_axis, load_axis, &measurements)
     }
 }
 

@@ -35,12 +35,11 @@ fn score(
     let mut rng = StdRng::seed_from_u64(99);
     let nominal = ProcessSample::nominal();
     let points = engine.input_space().sample_latin_hypercube(&mut rng, k);
+    let solved = engine.solve(&points.iter().map(|&p| (cell, *arc, p, nominal)).collect());
     let samples: Vec<TimingSample> = points
         .iter()
-        .map(|p| {
-            let m = engine.simulate_nominal(cell, arc, p);
-            TimingSample::new(*p, engine.ieff(arc, p, &nominal), m.delay)
-        })
+        .zip(&solved)
+        .map(|(p, m)| TimingSample::new(*p, engine.ieff(arc, p, &nominal), m.delay))
         .collect();
     let fit = extractor.extract(&samples);
     let errors: Vec<f64> = validation
@@ -68,14 +67,12 @@ fn main() {
     // Shared validation baseline.
     let mut rng = StdRng::seed_from_u64(5);
     let nominal = ProcessSample::nominal();
-    let validation: Vec<(InputPoint, f64, Amperes)> = engine
-        .input_space()
-        .sample_uniform(&mut rng, 250)
+    let points = engine.input_space().sample_uniform(&mut rng, 250);
+    let solved = engine.solve(&points.iter().map(|&p| (cell, arc, p, nominal)).collect());
+    let validation: Vec<(InputPoint, f64, Amperes)> = points
         .into_iter()
-        .map(|p| {
-            let reference = engine.simulate_nominal(cell, &arc, &p).delay.value();
-            (p, reference, engine.ieff(&arc, &p, &nominal))
-        })
+        .zip(&solved)
+        .map(|(p, m)| (p, m.delay.value(), engine.ieff(&arc, &p, &nominal)))
         .collect();
 
     let space = engine.input_space();

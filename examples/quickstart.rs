@@ -89,12 +89,14 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let fitting_points = engine.input_space().sample_latin_hypercube(&mut rng, 3);
     let nominal = ProcessSample::nominal();
+    let sweep = |points: &[InputPoint]| {
+        engine.solve(&points.iter().map(|&p| (cell, arc, p, nominal)).collect())
+    };
+    let solved = sweep(&fitting_points);
     let samples: Vec<TimingSample> = fitting_points
         .iter()
-        .map(|p| {
-            let m = engine.simulate_nominal(cell, &arc, p);
-            TimingSample::new(*p, engine.ieff(&arc, p, &nominal), m.delay)
-        })
+        .zip(&solved)
+        .map(|(p, m)| TimingSample::new(*p, engine.ieff(&arc, p, &nominal), m.delay))
         .collect();
     let fit = extractor.extract(&samples);
     println!(
@@ -108,9 +110,10 @@ fn main() {
 
     // 4. Validate against directly simulated random conditions.
     let validation = engine.input_space().sample_uniform(&mut rng, 200);
+    let references = sweep(&validation);
     let mut errors = Vec::new();
-    for p in &validation {
-        let reference = engine.simulate_nominal(cell, &arc, p).delay.value();
+    for (p, m) in validation.iter().zip(&references) {
+        let reference = m.delay.value();
         let predicted = fit
             .params
             .evaluate(p, engine.ieff(&arc, p, &nominal))

@@ -113,15 +113,14 @@ fn low_vdd_delay_pdf_is_right_skewed_and_reconstructed() {
             Farads::from_femtofarads(1.67),
             Volts(vdd),
         );
-        let delay_at = |shift: f64| {
+        let corners = [sigma, 0.0, -sigma].map(|shift| {
             let mut seed = ProcessSample::nominal();
             seed.delta_vth_n = shift;
             seed.delta_vth_p = shift;
-            engine.simulate(cell, &arc, &probe, &seed).delay.value()
-        };
-        let slow = delay_at(sigma);
-        let nominal = delay_at(0.0);
-        let fast = delay_at(-sigma);
+            (cell, arc, probe, seed)
+        });
+        let delays = engine.solve(&corners.into_iter().collect());
+        let [slow, nominal, fast] = [0, 1, 2].map(|i| delays[i].delay.value());
         (slow - nominal) - (nominal - fast)
     };
     let low_vdd_asymmetry = asymmetry(0.734);

@@ -51,7 +51,11 @@ fn lut_baseline_converges_through_public_facade() {
         Farads::from_femtofarads(2.7),
         Volts(0.82),
     );
-    let reference = engine.simulate_nominal(cell, &arc, &probe);
+    let reference = engine.solve(
+        &[(cell, arc, probe, ProcessSample::nominal())]
+            .into_iter()
+            .collect(),
+    )[0];
     let coarse_err = (coarse.predict(&probe).delay.value() - reference.delay.value()).abs()
         / reference.delay.value();
     let fine_err = (fine.predict(&probe).delay.value() - reference.delay.value()).abs()
@@ -94,9 +98,12 @@ fn simulation_counters_isolate_per_engine_campaigns() {
         Farads::from_femtofarads(2.0),
         Volts(0.9),
     );
-    let _ = a.simulate_nominal(cell, &arc, &point);
-    let _ = a.simulate_nominal(cell, &arc, &point);
-    let _ = b.simulate_nominal(cell, &arc, &point);
+    let lane: LaneSet = [(cell, arc, point, ProcessSample::nominal())]
+        .into_iter()
+        .collect();
+    let _ = a.solve(&lane);
+    let _ = a.solve(&lane);
+    let _ = b.solve(&lane);
     assert_eq!(a.simulation_count(), 2);
     assert_eq!(b.simulation_count(), 1);
 }

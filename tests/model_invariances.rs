@@ -16,20 +16,25 @@ fn nor2_grid_samples() -> (Vec<TimingSample>, Vec<TimingSample>) {
     let cell = Cell::new(CellKind::Nor2, DriveStrength::X1);
     let arc = TimingArc::new(cell, 0, Transition::Fall);
     let nominal = ProcessSample::nominal();
+    let points: Vec<InputPoint> = [0.68, 0.76, 0.84, 0.92, 1.0]
+        .iter()
+        .flat_map(|&vdd| {
+            [(1.0, 2.0), (2.0, 5.0), (3.5, 8.0), (5.0, 12.0)].map(|(cload, sin)| {
+                InputPoint::new(
+                    Seconds::from_picoseconds(sin),
+                    Farads::from_femtofarads(cload),
+                    Volts(vdd),
+                )
+            })
+        })
+        .collect();
+    let solved = engine.solve(&points.iter().map(|&p| (cell, arc, p, nominal)).collect());
     let mut delay = Vec::new();
     let mut slew = Vec::new();
-    for &vdd in &[0.68, 0.76, 0.84, 0.92, 1.0] {
-        for &(cload, sin) in &[(1.0, 2.0), (2.0, 5.0), (3.5, 8.0), (5.0, 12.0)] {
-            let point = InputPoint::new(
-                Seconds::from_picoseconds(sin),
-                Farads::from_femtofarads(cload),
-                Volts(vdd),
-            );
-            let m = engine.simulate_nominal(cell, &arc, &point);
-            let ieff = engine.ieff(&arc, &point, &nominal);
-            delay.push(TimingSample::new(point, ieff, m.delay));
-            slew.push(TimingSample::new(point, ieff, m.output_slew));
-        }
+    for (&point, m) in points.iter().zip(&solved) {
+        let ieff = engine.ieff(&arc, &point, &nominal);
+        delay.push(TimingSample::new(point, ieff, m.delay));
+        slew.push(TimingSample::new(point, ieff, m.output_slew));
     }
     (delay, slew)
 }
@@ -46,12 +51,11 @@ fn table1_analogue_four_parameter_fit_is_accurate_for_simulated_cells() {
     for kind in [CellKind::Inv, CellKind::Nand2, CellKind::Nor2] {
         let cell = Cell::new(kind, DriveStrength::X1);
         let arc = TimingArc::new(cell, 0, Transition::Fall);
+        let solved = engine.solve(&points.iter().map(|&p| (cell, arc, p, nominal)).collect());
         let samples: Vec<TimingSample> = points
             .iter()
-            .map(|p| {
-                let m = engine.simulate_nominal(cell, &arc, p);
-                TimingSample::new(*p, engine.ieff(&arc, p, &nominal), m.delay)
-            })
+            .zip(&solved)
+            .map(|(p, m)| TimingSample::new(*p, engine.ieff(&arc, p, &nominal), m.delay))
             .collect();
         let fit = fitter.fit(&samples);
         let error = fit.params.mean_relative_error_percent(&samples);
