@@ -32,6 +32,7 @@ use slic_obs::{
     Clock, DiffReport, DiffThresholds, MetricsSnapshot, MonotonicClock, Observability,
     ProgressMeter, RunRecord, TraceRecorder,
 };
+use slic_pipeline::config::{key_flags, ConfigKey};
 use slic_pipeline::{
     BackendChoice, CharacterizationPlan, FarmSection, PipelineError, PipelineRunner, RunArtifact,
     RunConfig, RunProfile,
@@ -46,22 +47,19 @@ const USAGE: &str = "slic — statistical library characterization pipeline
 USAGE:
     slic <learn|characterize|worker|merge|export|report|cache|profile|history|bench|lint|help> [--flag value]...
 
-OBSERVABILITY FLAGS (learn, characterize and worker):
-    --trace <file>          record a JSON-lines span/event trace of the run to <file>
-                            (config key `observability.trace`; the flag wins).  Tracing
-                            is display-only: artifact bytes are identical with it on or
-                            off.  Analyze the sidecar with `slic profile <file>`.
-    --ledger <file>         append one run record (config fingerprint, seed, wall time,
-                            sims paid vs cached, artifact hash, metrics snapshot) to the
-                            cross-run ledger at <file> (config key `observability.ledger`;
-                            learn/characterize only).  Display-only like --trace.  Read it
-                            back with `slic history <file>`.
-    --progress              render a live stderr progress line (units done, sims paid vs
-                            cached, farmed lanes, ETA) even when stderr is not a TTY; on
-                            a TTY the line is on by default for learn/characterize.
-                            Progress also emits rate-limited `progress` trace events.
-
-FARM FLAGS (learn and characterize):
+RUN FLAGS (learn and characterize).  Each sets one run-config key (configs/quick.toml
+lists them all) over the value a --config file gives it:
+    --library <name>        paper-trio (default) | standard
+    --technology <name>     target node, e.g. target_14nm (default), target_28nm
+    --historical <a,b,...>  historical nodes (default n16_finfet,n14_finfet)
+    --profile <name>        quick (default) | accurate
+    --cells <glob>          cell-kind filter, e.g. 'NAND*'
+    --drives <a,b,...>      drive filter, e.g. X1,X2
+    --metrics <a,b,...>     delay,slew
+    --methods <a,b,...>     bayesian,lse,lut
+    --seed <n>              sampling seed
+    --cache <file>          persistent simulation cache (JSON lines) shared by shard
+                            workers and reruns
     --backend <name>        local (default) | farm
     --workers <a,b,...>     TCP addresses of `slic worker --listen` processes
     --spawn-workers <n>     spawn n subprocess workers of this binary (zero-config
@@ -70,42 +68,39 @@ FARM FLAGS (learn and characterize):
                             local fallback (default: fleet size)
     --reconnect-attempts <n> re-dials per dead worker per reconnection round, spaced
                             by seeded exponential backoff (default 4)
+    --trace <file>          record a JSON-lines span/event trace of the run to <file>
+                            (worker and cache compact take it too).  Display-only:
+                            artifact bytes are identical with it on or off.  Analyze
+                            the sidecar with `slic profile <file>`.
+    --ledger <file>         append one run record (config fingerprint, seed, wall time,
+                            sims paid vs cached, artifact hash, metrics snapshot) to the
+                            cross-run ledger at <file>.  Display-only like --trace.
+                            Read it back with `slic history <file>`.
+    --progress              render a live stderr progress line (units done, sims paid vs
+                            cached, farmed lanes, ETA) even when stderr is not a TTY; on
+                            a TTY the line is on by default.  Progress also emits
+                            rate-limited `progress` trace events.
+  characterize only:
+    --variation             add Monte Carlo variation units: every export-grid point
+                            under every process seed, reduced to mean/sigma/skew tables
+                            in the artifact (and LVF groups in --liberty)
+    --variation-seeds <n>   Monte Carlo seeds per unit (implies --variation; default
+                            from profile)
+    --variation-sigma <a,b> sigma corners reported, e.g. 1,3 (implies --variation)
 
 SUBCOMMANDS:
     learn         Characterize the historical technologies and archive the
-                  compact-model fits.
-                    --historical <a,b,...>  historical node names
-                                            (default n16_finfet,n14_finfet)
-                    --library <name>        paper-trio (default) | standard
-                    --profile <name>        quick (default) | accurate
-                    --cache <file>          persistent simulation cache (JSON lines)
+                  compact-model fits.  Takes the run flags but --variation*.
+                    --config <file>         run config (.json or .toml)
                     --out <file>            output database JSON (default history.json)
 
     characterize  Run a library-scale characterization plan (or one shard of it).
-                    --config <file>         run config (.json or .toml); CLI flags
-                                            below override its fields
+                  Takes every run flag.
+                    --config <file>         run config (.json or .toml)
                     --history <file>        database JSON from `slic learn`;
                                             omitted = learn inline first
-                    --library <name>        paper-trio | standard
-                    --technology <name>     e.g. target_14nm, target_28nm
-                    --profile <name>        quick | accurate
-                    --cells <glob>          cell-kind filter, e.g. 'NAND*'
-                    --drives <a,b,...>      drive filter, e.g. X1,X2
-                    --metrics <a,b,...>     delay,slew
-                    --methods <a,b,...>     bayesian,lse,lut
-                    --seed <n>              sampling seed
                     --shard <i/n>           run shard i of n (1-based), e.g. 2/4;
                                             merge the artifacts with `slic merge`
-                    --cache <file>          persistent simulation cache shared by
-                                            shard workers and reruns
-                    --variation             add Monte Carlo variation units: every
-                                            export-grid point under every process seed,
-                                            reduced to mean/sigma/skew tables in the
-                                            artifact (and LVF groups in --liberty)
-                    --variation-seeds <n>   Monte Carlo seeds per unit (implies
-                                            --variation; default from profile)
-                    --variation-sigma <a,b> sigma corners reported, e.g. 1,3
-                                            (implies --variation)
                     --out <file>            run artifact JSON (default run.json)
                     --liberty <file>        also write the Liberty text here
 
@@ -216,27 +211,6 @@ fn main() -> ExitCode {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    const CONFIG_FLAGS: &[&str] = &[
-        "config",
-        "library",
-        "technology",
-        "historical",
-        "profile",
-        "cells",
-        "drives",
-        "metrics",
-        "methods",
-        "seed",
-        "cache",
-        "backend",
-        "workers",
-        "spawn-workers",
-        "retry-budget",
-        "reconnect-attempts",
-        "trace",
-        "ledger",
-        "out",
-    ];
     // profile/history/bench mix positionals with their own flag sets and threshold
     // overrides; they dispatch before the generic flag machinery below.
     match command {
@@ -248,17 +222,16 @@ fn main() -> ExitCode {
     // `slic cache <action> --flag value ...` takes a positional action before its flags.
     // `switches` are valueless boolean flags (recorded as "true" when present).
     let (flag_args, allowed, switches): (&[String], Vec<&str>, Vec<&str>) = match command {
-        "learn" => (&args[1..], CONFIG_FLAGS.to_vec(), vec!["progress"]),
+        "learn" => {
+            let (flags, switches) = config_flags(&["out"], |key| {
+                !key.is_under("variation") && !key.is_under("observability.diff")
+            });
+            (&args[1..], flags, switches)
+        }
         "characterize" => {
-            let mut flags = CONFIG_FLAGS.to_vec();
-            flags.extend([
-                "history",
-                "liberty",
-                "shard",
-                "variation-seeds",
-                "variation-sigma",
-            ]);
-            (&args[1..], flags, vec!["variation", "progress"])
+            let own = ["out", "history", "liberty", "shard"];
+            let (flags, switches) = config_flags(&own, |key| !key.is_under("observability.diff"));
+            (&args[1..], flags, switches)
         }
         "worker" => (
             &args[1..],
@@ -305,10 +278,7 @@ fn main() -> ExitCode {
     };
     let flags = match parse_flags(flag_args, &allowed, &switches) {
         Ok(flags) => flags,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     let outcome = match command {
         "learn" => cmd_learn(&flags),
@@ -406,26 +376,33 @@ fn cmd_lint(flags: &BTreeMap<String, String>) -> ExitCode {
 
 /// Parses `--flag value` pairs plus valueless `switches` (recorded as `"true"`); rejects
 /// stray positionals, missing values, and flags the subcommand does not consume (a typo'd
-/// flag must not silently fall back to a default).
+/// flag must not silently fall back to a default).  Errors are printed; the `Err` is the
+/// exit code.
 fn parse_flags(
     args: &[String],
     allowed: &[&str],
     switches: &[&str],
-) -> Result<BTreeMap<String, String>, String> {
+) -> Result<BTreeMap<String, String>, ExitCode> {
+    let fail = |message: String| {
+        eprintln!("error: {message}");
+        ExitCode::from(2)
+    };
     let mut flags = BTreeMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let name = arg
-            .strip_prefix("--")
-            .ok_or_else(|| format!("unexpected argument `{arg}` (flags are `--name value`)"))?;
+        let name = arg.strip_prefix("--").ok_or_else(|| {
+            fail(format!(
+                "unexpected argument `{arg}` (flags are `--name value`)"
+            ))
+        })?;
         let value = if switches.contains(&name) {
             "true".to_string()
         } else if allowed.contains(&name) {
             it.next()
-                .ok_or_else(|| format!("flag `--{name}` is missing its value"))?
+                .ok_or_else(|| fail(format!("flag `--{name}` is missing its value")))?
                 .clone()
         } else {
-            return Err(format!(
+            return Err(fail(format!(
                 "unknown flag `--{name}` for this subcommand (expected one of: {})",
                 allowed
                     .iter()
@@ -433,134 +410,71 @@ fn parse_flags(
                     .map(|f| format!("--{f}"))
                     .collect::<Vec<_>>()
                     .join(", ")
-            ));
+            )));
         };
         if flags.insert(name.to_string(), value).is_some() {
-            return Err(format!("flag `--{name}` given twice"));
+            return Err(fail(format!("flag `--{name}` given twice")));
         }
     }
     Ok(flags)
 }
 
-fn comma_list(text: &str) -> Vec<String> {
-    text.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
+/// A subcommand's flags: `--config`, the flags of the config keys `select` keeps, then the
+/// subcommand's `own` flags.  Returns `(valued flags, switches)`.
+fn config_flags(
+    own: &[&'static str],
+    select: impl Fn(&ConfigKey) -> bool,
+) -> (Vec<&'static str>, Vec<&'static str>) {
+    let (keys, switches) = key_flags(select);
+    let valued = std::iter::once("config")
+        .chain(keys)
+        .chain(own.iter().copied());
+    (valued.collect(), switches)
 }
 
-/// Builds the run configuration from an optional `--config` file plus CLI overrides.
+/// Parses the flags of a regression gate (`profile --diff`, `history`): `--config`, the
+/// `observability.diff.*` flags and `own`, and resolves the thresholds they set.  Errors
+/// are printed; the `Err` is the exit code.
+fn gate_args(
+    args: &[String],
+    own: &[&'static str],
+    switches: &[&str],
+) -> Result<(BTreeMap<String, String>, DiffThresholds), ExitCode> {
+    let (allowed, _) = config_flags(own, |key| key.is_under("observability.diff"));
+    let flags = parse_flags(args, &allowed, switches)?;
+    match build_config(&flags) {
+        Ok(config) => Ok((flags, config.diff_thresholds())),
+        Err(err) => {
+            eprintln!("error: {err}");
+            Err(ExitCode::from(2))
+        }
+    }
+}
+
+/// The run configuration: the optional `--config` file with every config-key flag set
+/// over it.
 fn build_config(flags: &BTreeMap<String, String>) -> Result<RunConfig, PipelineError> {
-    let mut config = match flags.get("config") {
-        Some(path) => RunConfig::load(path)?,
-        None => RunConfig::default(),
-    };
-    if let Some(v) = flags.get("library") {
-        config.library = Some(v.clone());
+    RunConfig::with_flags(flags.get("config").map(std::path::Path::new), flags)
+}
+
+/// The `observability.trace` path of a subcommand that takes `--trace` but no config
+/// file (`worker`, `cache compact`).
+fn trace_flag(config: &RunConfig) -> Option<&std::path::Path> {
+    let knobs = config.observability.as_ref()?;
+    knobs.trace.as_deref().map(std::path::Path::new)
+}
+
+/// Opens the JSON-lines trace recorder at `path`, or the free disabled one.
+fn open_trace(path: Option<&std::path::Path>) -> Result<TraceRecorder, PipelineError> {
+    match path {
+        Some(path) => TraceRecorder::to_file(path).map_err(|err| {
+            PipelineError::config(format!(
+                "cannot create trace file `{}`: {err}",
+                path.display()
+            ))
+        }),
+        None => Ok(TraceRecorder::disabled()),
     }
-    if let Some(v) = flags.get("technology") {
-        config.technology = Some(v.clone());
-    }
-    if let Some(v) = flags.get("historical") {
-        config.historical = Some(comma_list(v));
-    }
-    if let Some(v) = flags.get("profile") {
-        config.profile = Some(v.clone());
-    }
-    if let Some(v) = flags.get("cells") {
-        config.cell_pattern = Some(v.clone());
-    }
-    if let Some(v) = flags.get("drives") {
-        config.drives = Some(comma_list(v));
-    }
-    if let Some(v) = flags.get("metrics") {
-        config.metrics = Some(comma_list(v));
-    }
-    if let Some(v) = flags.get("methods") {
-        config.methods = Some(comma_list(v));
-    }
-    if let Some(v) = flags.get("seed") {
-        let seed = v
-            .parse::<u64>()
-            .map_err(|_| PipelineError::config(format!("`--seed {v}` is not an integer")))?;
-        config.seed = Some(seed);
-    }
-    if let Some(v) = flags.get("cache") {
-        config.cache = Some(v.clone());
-    }
-    if let Some(v) = flags.get("backend") {
-        config.backend = Some(v.clone());
-    }
-    if let Some(v) = flags.get("workers") {
-        config.workers = Some(comma_list(v));
-    }
-    if let Some(v) = flags.get("spawn-workers") {
-        let count = v.parse::<usize>().map_err(|_| {
-            PipelineError::config(format!("`--spawn-workers {v}` is not an integer"))
-        })?;
-        config.spawn_workers = Some(count);
-    }
-    if let Some(v) = flags.get("retry-budget") {
-        let budget = v.parse::<usize>().map_err(|_| {
-            PipelineError::config(format!("`--retry-budget {v}` is not an integer"))
-        })?;
-        let mut knobs = config.farm.clone().unwrap_or_default();
-        knobs.retry_budget = Some(budget);
-        config.farm = Some(knobs);
-    }
-    if let Some(v) = flags.get("reconnect-attempts") {
-        let attempts = v.parse::<u32>().map_err(|_| {
-            PipelineError::config(format!("`--reconnect-attempts {v}` is not an integer"))
-        })?;
-        let mut knobs = config.farm.clone().unwrap_or_default();
-        knobs.reconnect_attempts = Some(attempts);
-        config.farm = Some(knobs);
-    }
-    // Any variation flag enables the Monte Carlo workload on top of whatever (if
-    // anything) the config file's `variation` section set.
-    if flags.contains_key("variation")
-        || flags.contains_key("variation-seeds")
-        || flags.contains_key("variation-sigma")
-    {
-        let mut knobs = config.variation.clone().unwrap_or_default();
-        if let Some(v) = flags.get("variation-seeds") {
-            let seeds = v.parse::<usize>().map_err(|_| {
-                PipelineError::config(format!("`--variation-seeds {v}` is not an integer"))
-            })?;
-            knobs.process_seeds = Some(seeds);
-        }
-        if let Some(v) = flags.get("variation-sigma") {
-            let corners: Vec<f64> = comma_list(v)
-                .iter()
-                .map(|c| {
-                    c.parse::<f64>().map_err(|_| {
-                        PipelineError::config(format!(
-                            "`--variation-sigma {v}`: `{c}` is not a number"
-                        ))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            knobs.sigma_corners = Some(corners);
-        }
-        config.variation = Some(knobs);
-    }
-    if let Some(v) = flags.get("trace") {
-        let mut knobs = config.observability.clone().unwrap_or_default();
-        knobs.trace = Some(v.clone());
-        config.observability = Some(knobs);
-    }
-    if let Some(v) = flags.get("ledger") {
-        let mut knobs = config.observability.clone().unwrap_or_default();
-        knobs.ledger = Some(v.clone());
-        config.observability = Some(knobs);
-    }
-    if flags.contains_key("progress") {
-        let mut knobs = config.observability.clone().unwrap_or_default();
-        knobs.progress = Some(true);
-        config.observability = Some(knobs);
-    }
-    Ok(config)
 }
 
 /// Builds the observability bundle for a resolved configuration: a file-backed trace
@@ -569,15 +483,7 @@ fn build_config(flags: &BTreeMap<String, String>) -> Result<RunConfig, PipelineE
 fn build_observability(
     config: &slic_pipeline::ResolvedConfig,
 ) -> Result<Observability, PipelineError> {
-    let trace = match &config.trace_path {
-        Some(path) => TraceRecorder::to_file(path).map_err(|err| {
-            PipelineError::config(format!(
-                "cannot create trace file `{}`: {err}",
-                path.display()
-            ))
-        })?,
-        None => TraceRecorder::disabled(),
-    };
+    let trace = open_trace(config.trace_path.as_deref())?;
     // The stderr progress line draws when the config (or `--progress`) forced it, or
     // automatically when a human is watching stderr.  The meter also runs line-less
     // whenever tracing is live, so rate-limited `progress` events land in the
@@ -912,12 +818,7 @@ fn cmd_worker(flags: &BTreeMap<String, String>) -> Result<(), PipelineError> {
         None => None,
     };
     let fault = build_fault_plan(flags)?;
-    let trace = match flags.get("trace") {
-        Some(path) => TraceRecorder::to_file(std::path::Path::new(path)).map_err(|err| {
-            PipelineError::config(format!("cannot create trace file `{path}`: {err}"))
-        })?,
-        None => TraceRecorder::disabled(),
-    };
+    let trace = open_trace(trace_flag(&build_config(flags)?))?;
     let outcome = match flags.get("listen") {
         Some(address) => {
             let listener = std::net::TcpListener::bind(address).map_err(|err| {
@@ -965,21 +866,18 @@ fn cmd_worker(flags: &BTreeMap<String, String>) -> Result<(), PipelineError> {
 }
 
 fn cmd_cache_compact(flags: &BTreeMap<String, String>) -> Result<(), PipelineError> {
-    let path = flags
-        .get("cache")
+    let config = build_config(flags)?;
+    let path = config
+        .cache
+        .as_deref()
         .ok_or_else(|| PipelineError::config("`slic cache compact` needs `--cache <file>`"))?;
     let options = CompactionOptions {
         drop_legacy: flags.contains_key("drop-legacy"),
         quarantine: flags.contains_key("quarantine"),
     };
-    let trace = match flags.get("trace") {
-        Some(out) => TraceRecorder::to_file(std::path::Path::new(out)).map_err(|err| {
-            PipelineError::config(format!("cannot create trace file `{out}`: {err}"))
-        })?,
-        None => TraceRecorder::disabled(),
-    };
+    let trace = open_trace(trace_flag(&config))?;
     let report = {
-        let _span = trace.span("cache.compact", &[("cache", path.clone())]);
+        let _span = trace.span("cache.compact", &[("cache", path.to_string())]);
         DiskSimCache::compact_with(path, options)?
     };
     trace.flush();
@@ -1108,14 +1006,10 @@ fn cmd_profile_entry(args: &[String]) -> ExitCode {
     if args.first().map(String::as_str) == Some("--diff") {
         match (args.get(1), args.get(2)) {
             (Some(old), Some(new)) if !old.starts_with("--") && !new.starts_with("--") => {
-                let flags = match parse_flags(&args[3..], THRESHOLD_FLAGS, &[]) {
-                    Ok(flags) => flags,
-                    Err(message) => {
-                        eprintln!("error: {message}");
-                        return ExitCode::from(2);
-                    }
+                return match gate_args(&args[3..], &[], &[]) {
+                    Ok((_, thresholds)) => cmd_profile_diff(old, new, &thresholds),
+                    Err(code) => code,
                 };
-                return cmd_profile_diff(old, new, &flags);
             }
             _ => {
                 eprintln!(
@@ -1128,14 +1022,10 @@ fn cmd_profile_entry(args: &[String]) -> ExitCode {
     }
     match args.first().map(String::as_str) {
         Some(path) if !path.starts_with("--") => {
-            let flags = match parse_flags(&args[1..], &["format", "top"], &[]) {
-                Ok(flags) => flags,
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    return ExitCode::from(2);
-                }
-            };
-            cmd_profile(path, &flags)
+            match parse_flags(&args[1..], &["format", "top"], &[]) {
+                Ok(flags) => cmd_profile(path, &flags),
+                Err(code) => code,
+            }
         }
         _ => {
             eprintln!(
@@ -1204,54 +1094,11 @@ fn cmd_profile(path: &str, flags: &BTreeMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The threshold-override flags shared by `slic profile --diff` and `slic history`.
-const THRESHOLD_FLAGS: &[&str] = &["config", "wall-pct", "counter-pct", "hit-rate-drop"];
-
-/// Resolves the regression-gate thresholds: `observability.diff.*` from an optional
-/// `--config` file first, CLI flag overrides on top, library defaults underneath.
-fn resolve_thresholds(flags: &BTreeMap<String, String>) -> Result<DiffThresholds, String> {
-    let mut thresholds = match flags.get("config") {
-        Some(path) => RunConfig::load(path)
-            .map_err(|err| err.to_string())?
-            .observability
-            .and_then(|knobs| knobs.diff)
-            .map(|knobs| knobs.resolve())
-            .unwrap_or_default(),
-        None => DiffThresholds::default(),
-    };
-    let parse = |flag: &str| -> Result<Option<f64>, String> {
-        flags
-            .get(flag)
-            .map(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("`--{flag} {v}` is not a number"))
-            })
-            .transpose()
-    };
-    if let Some(v) = parse("wall-pct")? {
-        thresholds.wall_pct = v;
-    }
-    if let Some(v) = parse("counter-pct")? {
-        thresholds.counter_pct = v;
-    }
-    if let Some(v) = parse("hit-rate-drop")? {
-        thresholds.hit_rate_drop_pct = v;
-    }
-    Ok(thresholds)
-}
-
 /// `slic profile --diff <old> <new>`: regression-gate one trace against another.
 ///
 /// Exits `FAILURE` on any gated regression (or a corrupt tail in either trace), `2`
 /// on unreadable inputs — so CI distinguishes "slower" from "broken invocation".
-fn cmd_profile_diff(old_path: &str, new_path: &str, flags: &BTreeMap<String, String>) -> ExitCode {
-    let thresholds = match resolve_thresholds(flags) {
-        Ok(thresholds) => thresholds,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_profile_diff(old_path: &str, new_path: &str, thresholds: &DiffThresholds) -> ExitCode {
     let load = |path: &str| -> Result<(slic_obs::profile::ProfileReport, usize), String> {
         let text = std::fs::read_to_string(path)
             .map_err(|err| format!("cannot read trace `{path}`: {err}"))?;
@@ -1271,7 +1118,7 @@ fn cmd_profile_diff(old_path: &str, new_path: &str, flags: &BTreeMap<String, Str
             return ExitCode::from(2);
         }
     };
-    let report = slic_obs::diff::diff_profiles(&old, &new, &thresholds);
+    let report = slic_obs::diff::diff_profiles(&old, &new, thresholds);
     print!(
         "{}",
         report.render_md(&format!("profile diff: {old_path} -> {new_path}"))
@@ -1297,16 +1144,12 @@ fn cmd_history_entry(args: &[String]) -> ExitCode {
         eprintln!("error: `slic history` needs a ledger file, e.g. `slic history runs.jsonl`");
         return ExitCode::from(2);
     };
-    let mut allowed = THRESHOLD_FLAGS.to_vec();
-    allowed.push("fingerprint");
-    let flags = match parse_flags(&args[1..], &allowed, &["diff"]) {
-        Ok(flags) => flags,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    };
-    cmd_history(path, &flags)
+    // The thresholds resolve before the list/diff branch, so a bad threshold flag or
+    // `--config` fails both modes alike.
+    match gate_args(&args[1..], &["fingerprint"], &["diff"]) {
+        Ok((flags, thresholds)) => cmd_history(path, &flags, &thresholds),
+        Err(code) => code,
+    }
 }
 
 /// Renders monotonic nanoseconds as seconds with millisecond resolution.
@@ -1324,7 +1167,11 @@ fn format_wall(ns: u64) -> String {
 /// Alignment is by fingerprint, never by position: the ledger interleaves runs of
 /// different configs (and of `learn` vs `characterize`), and comparing across
 /// fingerprints would diff two different workloads.
-fn cmd_history(path: &str, flags: &BTreeMap<String, String>) -> ExitCode {
+fn cmd_history(
+    path: &str,
+    flags: &BTreeMap<String, String>,
+    thresholds: &DiffThresholds,
+) -> ExitCode {
     let parsed = match slic_obs::ledger::load(std::path::Path::new(path)) {
         Ok(parsed) => parsed,
         Err(err) => {
@@ -1375,13 +1222,6 @@ fn cmd_history(path: &str, flags: &BTreeMap<String, String>) -> ExitCode {
         }
         return dropped_warning(false);
     }
-    let thresholds = match resolve_thresholds(flags) {
-        Ok(thresholds) => thresholds,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    };
     let fingerprint = flags.get("fingerprint").cloned().unwrap_or_else(|| {
         parsed
             .records
@@ -1405,7 +1245,7 @@ fn cmd_history(path: &str, flags: &BTreeMap<String, String>) -> ExitCode {
     }
     let old = matching[matching.len() - 2];
     let new = matching[matching.len() - 1];
-    let report = slic_obs::diff::diff_runs(old, new, &thresholds);
+    let report = slic_obs::diff::diff_runs(old, new, thresholds);
     print!(
         "{}",
         report.render_md(&format!(
@@ -1554,7 +1394,11 @@ fn cmd_merge(flags: &BTreeMap<String, String>) -> Result<(), PipelineError> {
     let inputs = flags
         .get("inputs")
         .ok_or_else(|| PipelineError::config("`slic merge` needs `--inputs a.json,b.json,...`"))?;
-    let paths = comma_list(inputs);
+    let paths: Vec<&str> = inputs
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect();
     if paths.is_empty() {
         return Err(PipelineError::config("`--inputs` lists no artifact files"));
     }
@@ -1662,4 +1506,20 @@ fn cmd_report(flags: &BTreeMap<String, String>) -> Result<(), PipelineError> {
     let artifact = RunArtifact::load(run_path)?;
     print!("{}", artifact.summary_markdown());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_documents_every_config_key_flag() {
+        let (valued, switches) = key_flags(|_| true);
+        for flag in valued.iter().chain(&switches) {
+            assert!(
+                USAGE.contains(&format!("--{flag} ")),
+                "`slic help` does not document `--{flag}`"
+            );
+        }
+    }
 }

@@ -616,35 +616,35 @@ impl<'a> StatisticalStudy<'a> {
             })
             .collect();
 
-        // LUT: a per-seed nominal grid of `lut_budget` conditions, interpolated at the probe.
+        // LUT: a per-seed nominal grid of `lut_budget` conditions, interpolated at the
+        // probe.  One solve covers grid × seeds (seed-major, so each seed's grid is one
+        // contiguous chunk of the result).
         let levels = slic_lut::grid_levels_for_budget(lut_budget);
-        let lut: Vec<f64> = seeds
-            .iter()
-            .map(|seed| {
-                let grid = space.lut_grid(levels.0, levels.1, levels.2);
-                let measurements = self
-                    .engine
-                    .solve(&grid.iter().map(|&p| (cell, *arc, p, *seed)).collect());
-                let delays: Vec<f64> = measurements.iter().map(|m| m.delay.value()).collect();
-                let table = slic_lut::Lut3d::from_values(
-                    grid.iter()
-                        .map(|p| p.sin.value())
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                        .fold(Vec::new(), dedup_push),
-                    grid.iter()
-                        .map(|p| p.cload.value())
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                        .fold(Vec::new(), dedup_push),
-                    grid.iter()
-                        .map(|p| p.vdd.value())
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                        .fold(Vec::new(), dedup_push),
-                    delays,
-                );
-                table.interpolate(&point)
+        let grid = space.lut_grid(levels.0, levels.1, levels.2);
+        let axis = |coord: fn(&InputPoint) -> f64| -> Vec<f64> {
+            grid.iter().map(coord).fold(Vec::new(), dedup_push)
+        };
+        let (sin_axis, cload_axis, vdd_axis) = (
+            axis(|p| p.sin.value()),
+            axis(|p| p.cload.value()),
+            axis(|p| p.vdd.value()),
+        );
+        let measurements = self.engine.solve(
+            &seeds
+                .iter()
+                .flat_map(|&seed| grid.iter().map(move |&p| (cell, *arc, p, seed)))
+                .collect(),
+        );
+        let lut: Vec<f64> = measurements
+            .chunks(grid.len())
+            .map(|chunk| {
+                slic_lut::Lut3d::from_values(
+                    sin_axis.clone(),
+                    cload_axis.clone(),
+                    vdd_axis.clone(),
+                    chunk.iter().map(|m| m.delay.value()).collect(),
+                )
+                .interpolate(&point)
             })
             .collect();
 

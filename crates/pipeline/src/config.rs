@@ -4,6 +4,14 @@
 //! flat-TOML file (or built in code); [`RunConfig::resolve`] turns it into a fully
 //! populated [`ResolvedConfig`] with every name looked up and every default applied, which
 //! is what plans and runners consume.
+//!
+//! [`KEYS`] is the one list of config keys: one row per key, in struct field order, with
+//! its dotted path, its CLI flag and its [`KeyKind`].  Unknown-key rejection (at every
+//! depth, listing the keys of the same section), integer range checks and the CLI's flags
+//! all come from it: [`RunConfig::with_flags`] parses each given flag by its row's kind
+//! and sets it at the row's path over the file's keys, before the one `Deserialize` call,
+//! and [`key_flags`] gives each subcommand its flag list.  Adding a key means adding a
+//! struct field and a table row; a test fails until the two agree.
 
 use crate::error::PipelineError;
 use crate::toml;
@@ -15,6 +23,7 @@ use slic_cells::{DriveStrength, Library};
 use slic_device::TechnologyNode;
 use slic_spice::TransientConfig;
 use slic_variation::VariationConfig;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Salt mixed into the run seed to derive the variation process-sample seed, so the
@@ -270,129 +279,221 @@ pub enum BackendChoice {
     },
 }
 
-/// Every key a run-config file may set.  Parsing rejects anything else: the derived
-/// deserializer silently skips unknown fields, and a typo'd knob falling back to its
-/// default is the worst kind of misconfiguration (the flags side has always had this
-/// strictness via the CLI's flag allowlist).
-const KNOWN_CONFIG_KEYS: &[&str] = &[
-    "library",
-    "technology",
-    "historical",
-    "profile",
-    "cell_pattern",
-    "drives",
-    "metrics",
-    "methods",
-    "training_count",
-    "validation_points",
-    "seed",
-    "cache",
-    "backend",
-    "workers",
-    "spawn_workers",
-    "variation",
-    "farm",
-    "observability",
-];
+/// How a key's value is written, and so how its CLI flag's text parses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyKind {
+    /// A string (`--library standard`).
+    Str,
+    /// A list of strings; the flag takes them comma-separated (`--methods bayesian,lse`).
+    List,
+    /// A non-negative integer below 2^53, the largest range a config number holds exactly
+    /// (`--seed 7`).
+    Int,
+    /// A number (`--wall-pct 25`).
+    Num,
+    /// A list of numbers; the flag takes them comma-separated (`--variation-sigma 1,3`).
+    NumList,
+    /// A boolean; its flag takes no value.  `--progress` sets `true`, and `--variation`,
+    /// the switch of a section, enables that section.
+    Switch,
+}
 
-/// Every key of the nested `variation` section.
-const KNOWN_VARIATION_KEYS: &[&str] = &["process_seeds", "sigma_corners"];
+/// One run-config key of [`KEYS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigKey {
+    /// Dotted path, as written in flat TOML (`farm.retry_budget`).
+    pub path: &'static str,
+    /// The CLI flag that sets the key, without its `--`.
+    pub flag: Option<&'static str>,
+    /// The value's kind.
+    pub kind: KeyKind,
+}
 
-/// Every key of the nested `observability` section.
-const KNOWN_OBSERVABILITY_KEYS: &[&str] = &["trace", "ledger", "progress", "diff"];
+const fn key(path: &'static str, flag: Option<&'static str>, kind: KeyKind) -> ConfigKey {
+    ConfigKey { path, flag, kind }
+}
 
-/// Every key of the nested `observability.diff` section.
-const KNOWN_DIFF_KEYS: &[&str] = &["wall_pct", "counter_pct", "hit_rate_drop_pct"];
+/// Every key a run config may set, in [`RunConfig`] field order: the one list that
+/// unknown-key rejection, the CLI's flags and their parsing are built from.  A section
+/// (`variation`, `farm`, `observability`, `observability.diff`) is the set of rows under
+/// its path; `variation` also has a row of its own for its `--variation` switch.
+#[rustfmt::skip]
+pub const KEYS: &[ConfigKey] = {
+    use KeyKind::*;
+    &[
+        key("library",                                   Some("library"),            Str),
+        key("technology",                                Some("technology"),         Str),
+        key("historical",                                Some("historical"),         List),
+        key("profile",                                   Some("profile"),            Str),
+        key("cell_pattern",                              Some("cells"),              Str),
+        key("drives",                                    Some("drives"),             List),
+        key("metrics",                                   Some("metrics"),            List),
+        key("methods",                                   Some("methods"),            List),
+        key("training_count",                            None,                       Int),
+        key("validation_points",                         None,                       Int),
+        key("seed",                                      Some("seed"),               Int),
+        key("cache",                                     Some("cache"),              Str),
+        key("backend",                                   Some("backend"),            Str),
+        key("workers",                                   Some("workers"),            List),
+        key("spawn_workers",                             Some("spawn-workers"),      Int),
+        key("variation",                                 Some("variation"),          Switch),
+        key("variation.process_seeds",                   Some("variation-seeds"),    Int),
+        key("variation.sigma_corners",                   Some("variation-sigma"),    NumList),
+        key("farm.retry_budget",                         Some("retry-budget"),       Int),
+        key("farm.reconnect_attempts",                   Some("reconnect-attempts"), Int),
+        key("farm.backoff_base_ms",                      None,                       Int),
+        key("farm.backoff_cap_ms",                       None,                       Int),
+        key("farm.heartbeat",                            None,                       Switch),
+        key("farm.heartbeat_timeout_ms",                 None,                       Int),
+        key("observability.trace",                       Some("trace"),              Str),
+        key("observability.ledger",                      Some("ledger"),             Str),
+        key("observability.progress",                    Some("progress"),           Switch),
+        key("observability.diff.wall_pct",               Some("wall-pct"),           Num),
+        key("observability.diff.counter_pct",            Some("counter-pct"),        Num),
+        key("observability.diff.hit_rate_drop_pct",      Some("hit-rate-drop"),      Num),
+    ]
+};
 
-/// Every key of the nested `farm` section.
-const KNOWN_FARM_KEYS: &[&str] = &[
-    "retry_budget",
-    "reconnect_attempts",
-    "backoff_base_ms",
-    "backoff_cap_ms",
-    "heartbeat",
-    "heartbeat_timeout_ms",
-];
+/// Integers from 2^53 up have no exact `f64`, the number type every config value passes
+/// through, so they are rejected rather than silently rounded.
+const INT_LIMIT: u64 = 1 << 53;
+const INT_LIMIT_NOTE: &str = "integers must be below 2^53 = 9007199254740992 to be exact";
 
-/// Rejects unknown top-level and nested-section keys with a pointed error.
-fn check_config_keys(value: &serde::Value) -> Result<(), PipelineError> {
+impl ConfigKey {
+    /// Whether the key is `section` itself or sits under it.
+    pub fn is_under(&self, section: &str) -> bool {
+        self.path
+            .strip_prefix(section)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
+    }
+
+    /// Parses the text given to the key's flag into a config value.
+    fn parse_flag(&self, flag: &str, text: &str) -> Result<serde::Value, PipelineError> {
+        use serde::Value;
+        let items = || text.split(',').map(str::trim).filter(|s| !s.is_empty());
+        let bad = |what: &str| PipelineError::config(format!("`--{flag} {text}`{what}"));
+        Ok(match self.kind {
+            KeyKind::Str => Value::String(text.to_string()),
+            KeyKind::List => Value::Array(items().map(|s| Value::String(s.into())).collect()),
+            KeyKind::Int => match text.parse::<u64>() {
+                Ok(n) if n >= INT_LIMIT => {
+                    return Err(bad(&format!(" is too large: {INT_LIMIT_NOTE}")))
+                }
+                Ok(n) => Value::Number(n as f64),
+                Err(_) => return Err(bad(" is not an integer")),
+            },
+            KeyKind::Num => Value::Number(text.parse().map_err(|_| bad(" is not a number"))?),
+            KeyKind::NumList => Value::Array(
+                items()
+                    .map(|item| {
+                        item.parse()
+                            .map(Value::Number)
+                            .map_err(|_| bad(&format!(": `{item}` is not a number")))
+                    })
+                    .collect::<Result<_, _>>()?,
+            ),
+            KeyKind::Switch if is_section(self.path) => Value::Object(Vec::new()),
+            KeyKind::Switch => Value::Bool(true),
+        })
+    }
+}
+
+/// The flags of the keys `select` keeps, in table order: `(valued flags, switches)`.
+pub fn key_flags(select: impl Fn(&ConfigKey) -> bool) -> (Vec<&'static str>, Vec<&'static str>) {
+    let (switches, valued): (Vec<&ConfigKey>, _) = KEYS
+        .iter()
+        .filter(|key| key.flag.is_some() && select(key))
+        .partition(|key| key.kind == KeyKind::Switch);
+    let flags = |keys: Vec<&ConfigKey>| keys.into_iter().filter_map(|key| key.flag).collect();
+    (flags(valued), flags(switches))
+}
+
+/// The keys directly under `parent` (`""` for the top level) as full dotted paths, in
+/// table order: a section counts once, at its first row.
+fn children(parent: &str) -> Vec<&'static str> {
+    let start = if parent.is_empty() {
+        0
+    } else {
+        parent.len() + 1
+    };
+    let below = |key: &&ConfigKey| start == 0 || key.is_under(parent) && key.path.len() > start;
+    let mut found: Vec<&'static str> = Vec::new();
+    for key in KEYS.iter().filter(below) {
+        let end = key.path[start..]
+            .find('.')
+            .map_or(key.path.len(), |i| start + i);
+        if !found.contains(&&key.path[..end]) {
+            found.push(&key.path[..end]);
+        }
+    }
+    found
+}
+
+fn is_section(path: &str) -> bool {
+    !children(path).is_empty()
+}
+
+/// Rejects unknown keys at every depth with a pointed error, and integer keys whose value
+/// is too large to be exact.  The derived deserializer silently skips unknown fields, and
+/// a typo'd knob falling back to its default is the worst kind of misconfiguration.
+fn check_keys(value: &serde::Value, parent: &str) -> Result<(), PipelineError> {
     let Some(entries) = value.as_object() else {
-        return Ok(()); // A non-object config fails shape-checking with its own error.
+        return Ok(()); // A non-object fails shape-checking with its own error.
     };
-    let listing = |keys: &[&str], prefix: &str| -> String {
-        keys.iter()
-            .map(|k| format!("{prefix}{k}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    for (key, sub) in entries {
-        if !KNOWN_CONFIG_KEYS.contains(&key.as_str()) {
+    let known = children(parent);
+    for (name, sub) in entries {
+        let path = match parent {
+            "" => name.clone(),
+            _ => format!("{parent}.{name}"),
+        };
+        if !known.contains(&path.as_str()) {
             return Err(PipelineError::config(format!(
-                "unknown config key `{key}` (expected one of: {})",
-                listing(KNOWN_CONFIG_KEYS, "")
+                "unknown config key `{path}` (expected one of: {})",
+                known.join(", ")
             )));
         }
-        let nested = match key.as_str() {
-            "variation" => Some(("variation", KNOWN_VARIATION_KEYS)),
-            "farm" => Some(("farm", KNOWN_FARM_KEYS)),
-            "observability" => Some(("observability", KNOWN_OBSERVABILITY_KEYS)),
-            _ => None,
-        };
-        if let Some((section, known)) = nested {
-            if let Some(inner) = sub.as_object() {
-                for (sub_key, sub_value) in inner {
-                    if !known.contains(&sub_key.as_str()) {
-                        return Err(PipelineError::config(format!(
-                            "unknown config key `{section}.{sub_key}` (expected one of: {})",
-                            listing(known, &format!("{section}."))
-                        )));
-                    }
-                    // One more level: the diff thresholds nest under observability.
-                    if section == "observability" && sub_key == "diff" {
-                        if let Some(diff_entries) = sub_value.as_object() {
-                            for (diff_key, _) in diff_entries {
-                                if !KNOWN_DIFF_KEYS.contains(&diff_key.as_str()) {
-                                    return Err(PipelineError::config(format!(
-                                        "unknown config key `observability.diff.{diff_key}` \
-                                         (expected one of: {})",
-                                        listing(KNOWN_DIFF_KEYS, "observability.diff.")
-                                    )));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        if is_section(&path) {
+            check_keys(sub, &path)?;
+        } else if KEYS
+            .iter()
+            .any(|k| k.path == path && k.kind == KeyKind::Int)
+            && sub.as_f64().is_some_and(|n| n >= INT_LIMIT as f64)
+        {
+            return Err(PipelineError::config(format!(
+                "config key `{path}` is too large: {INT_LIMIT_NOTE}"
+            )));
         }
     }
     Ok(())
 }
 
+/// Key-checks a parsed config tree.
+fn checked(value: serde::Value) -> Result<serde::Value, PipelineError> {
+    check_keys(&value, "")?;
+    Ok(value)
+}
+
 impl RunConfig {
-    /// Parses a configuration from JSON text.  Unknown keys — top-level or inside
-    /// `variation` — are rejected rather than silently ignored.
+    /// Parses a configuration from JSON text.  Unknown keys, at any depth, are rejected
+    /// rather than silently ignored.
     ///
     /// # Errors
     ///
     /// Returns a [`PipelineError::Serde`] on malformed JSON or mismatched shapes, and a
-    /// [`PipelineError::Config`] naming any unknown key.
+    /// [`PipelineError::Config`] naming any unknown key or inexact integer.
     pub fn from_json(text: &str) -> Result<Self, PipelineError> {
-        let value: serde::Value = serde_json::from_str(text)?;
-        check_config_keys(&value)?;
-        Ok(<Self as Deserialize>::from_value(&value)?)
+        Ok(Self::from_value(&checked(serde_json::from_str(text)?)?)?)
     }
 
-    /// Parses a configuration from flat-TOML text (see [`crate::toml`]).  Unknown keys —
-    /// top-level or dotted `variation.*` — are rejected rather than silently ignored.
+    /// Parses a configuration from flat-TOML text (see [`crate::toml`]).  Unknown keys,
+    /// top-level or dotted, are rejected rather than silently ignored.
     ///
     /// # Errors
     ///
-    /// Returns a [`PipelineError::Config`] on TOML syntax errors or unknown keys and a
-    /// [`PipelineError::Serde`] on mismatched shapes.
+    /// Returns a [`PipelineError::Config`] on TOML syntax errors, unknown keys or inexact
+    /// integers, and a [`PipelineError::Serde`] on mismatched shapes.
     pub fn from_toml(text: &str) -> Result<Self, PipelineError> {
-        let value = toml::parse(text)?;
-        check_config_keys(&value)?;
-        Ok(<Self as Deserialize>::from_value(&value)?)
+        Ok(Self::from_value(&checked(toml::parse(text)?)?)?)
     }
 
     /// Loads a configuration file, dispatching on the `.json` / `.toml` extension.
@@ -401,17 +502,61 @@ impl RunConfig {
     ///
     /// Returns an error for unreadable files, unknown extensions or malformed content.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, PipelineError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)?;
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("json") => Self::from_json(&text),
-            Some("toml") => Self::from_toml(&text),
-            other => Err(PipelineError::config(format!(
-                "cannot infer config format of `{}` (extension {:?}); use .json or .toml",
-                path.display(),
-                other
-            ))),
+        Self::with_flags(Some(path.as_ref()), &BTreeMap::new())
+    }
+
+    /// Loads the optional config `file`, then sets every key whose [`KEYS`] flag is in
+    /// `flags` (flag name without `--` → its text; a switch's text is ignored) over the
+    /// file's keys.  Names in `flags` that are no key's flag are ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns the file's load error, or a [`PipelineError::Config`] naming a flag whose
+    /// text does not parse as its key's kind.
+    pub fn with_flags(
+        file: Option<&Path>,
+        flags: &BTreeMap<String, String>,
+    ) -> Result<Self, PipelineError> {
+        let mut value = serde::Value::Object(Vec::new());
+        if let Some(path) = file {
+            let text = std::fs::read_to_string(path)?;
+            value = checked(match path.extension().and_then(|e| e.to_str()) {
+                Some("json") => serde_json::from_str(&text)?,
+                Some("toml") => toml::parse(&text)?,
+                other => {
+                    return Err(PipelineError::config(format!(
+                        "cannot infer config format of `{}` (extension {:?}); use .json or .toml",
+                        path.display(),
+                        other
+                    )))
+                }
+            })?;
         }
+        for key in KEYS {
+            let Some(flag) = key.flag else { continue };
+            let Some(text) = flags.get(flag) else {
+                continue;
+            };
+            let parsed = key.parse_flag(flag, text)?;
+            let segments: Vec<&str> = key.path.split('.').collect();
+            // A section's switch only makes sure the section exists.  A non-object where
+            // a section belongs is left for deserialization to report as the file's error.
+            if let serde::Value::Object(_) = parsed {
+                let _ = toml::section_mut(&mut value, &segments);
+            } else if let Some((leaf, sections)) = segments.split_last() {
+                if let Ok(entries) = toml::section_mut(&mut value, sections) {
+                    entries.retain(|(k, _)| k != leaf);
+                    entries.push((leaf.to_string(), parsed));
+                }
+            }
+        }
+        Ok(Self::from_value(&value)?)
+    }
+
+    /// The regression-diff thresholds: `observability.diff.*` with defaults applied.
+    pub fn diff_thresholds(&self) -> slic_obs::DiffThresholds {
+        let observability = self.observability.clone().unwrap_or_default();
+        observability.diff.unwrap_or_default().resolve()
     }
 
     /// Applies defaults and resolves every name into concrete catalogue objects.
@@ -595,6 +740,7 @@ impl RunConfig {
             }
         };
 
+        let observability = self.observability.clone().unwrap_or_default();
         Ok(ResolvedConfig {
             library_name: library_name.to_string(),
             library,
@@ -617,27 +763,10 @@ impl RunConfig {
             cache_path: self.cache.clone().map(std::path::PathBuf::from),
             backend,
             variation,
-            trace_path: self
-                .observability
-                .as_ref()
-                .and_then(|knobs| knobs.trace.clone())
-                .map(std::path::PathBuf::from),
-            ledger_path: self
-                .observability
-                .as_ref()
-                .and_then(|knobs| knobs.ledger.clone())
-                .map(std::path::PathBuf::from),
-            progress: self
-                .observability
-                .as_ref()
-                .and_then(|knobs| knobs.progress)
-                .unwrap_or(false),
-            diff: self
-                .observability
-                .as_ref()
-                .and_then(|knobs| knobs.diff.as_ref())
-                .map(DiffKnobs::resolve)
-                .unwrap_or_default(),
+            trace_path: observability.trace.map(std::path::PathBuf::from),
+            ledger_path: observability.ledger.map(std::path::PathBuf::from),
+            progress: observability.progress.unwrap_or(false),
+            diff: observability.diff.unwrap_or_default().resolve(),
         })
     }
 }
@@ -1251,5 +1380,285 @@ mod tests {
             "accurate"
         );
         assert!(RunProfile::from_name("warp").is_none());
+    }
+
+    /// `RunConfig::with_flags` over no file, from `(flag, text)` pairs.
+    fn from_flags(pairs: &[(&str, &str)]) -> Result<RunConfig, PipelineError> {
+        let flags = pairs
+            .iter()
+            .map(|(flag, text)| (flag.to_string(), text.to_string()))
+            .collect();
+        RunConfig::with_flags(None, &flags)
+    }
+
+    /// The dotted paths of the non-object values of `value`, in order.
+    fn leaf_paths(value: &serde::Value, parent: &str, out: &mut Vec<String>) {
+        for (name, sub) in value.as_object().unwrap() {
+            let path = match parent {
+                "" => name.clone(),
+                _ => format!("{parent}.{name}"),
+            };
+            match sub {
+                serde::Value::Object(_) => leaf_paths(sub, &path, out),
+                _ => out.push(path),
+            }
+        }
+    }
+
+    #[test]
+    fn key_table_matches_the_run_config_struct() {
+        // Every field spelled out, with no `..Default::default()`: a new field does not
+        // compile until it is added here, and then this test wants its table row.
+        let full = RunConfig {
+            library: Some("standard".into()),
+            technology: Some("target_28nm".into()),
+            historical: Some(vec!["n28_bulk".into()]),
+            profile: Some("accurate".into()),
+            cell_pattern: Some("NAND*".into()),
+            drives: Some(vec!["X1".into()]),
+            metrics: Some(vec!["delay".into()]),
+            methods: Some(vec!["lse".into()]),
+            training_count: Some(4),
+            validation_points: Some(9),
+            seed: Some(7),
+            cache: Some("cache.jsonl".into()),
+            backend: Some("farm".into()),
+            workers: Some(vec!["a:1".into()]),
+            spawn_workers: Some(2),
+            variation: Some(VariationKnobs {
+                process_seeds: Some(30),
+                sigma_corners: Some(vec![1.0, 3.0]),
+            }),
+            farm: Some(FarmKnobs {
+                retry_budget: Some(3),
+                reconnect_attempts: Some(2),
+                backoff_base_ms: Some(10),
+                backoff_cap_ms: Some(100),
+                heartbeat: Some(false),
+                heartbeat_timeout_ms: Some(500),
+            }),
+            observability: Some(ObservabilityKnobs {
+                trace: Some("run.jsonl".into()),
+                ledger: Some("runs.jsonl".into()),
+                progress: Some(true),
+                diff: Some(DiffKnobs {
+                    wall_pct: Some(25.0),
+                    counter_pct: Some(5.0),
+                    hit_rate_drop_pct: Some(2.0),
+                }),
+            }),
+        };
+        let mut struct_paths = Vec::new();
+        leaf_paths(&full.to_value(), "", &mut struct_paths);
+        let table_paths: Vec<&str> = KEYS
+            .iter()
+            .map(|key| key.path)
+            .filter(|path| !is_section(path))
+            .collect();
+        assert_eq!(struct_paths, table_paths);
+        // 29 leaf keys, one section switch (`--variation`), 24 flags in all.
+        assert_eq!(table_paths.len(), 29);
+        let sections: Vec<&str> = KEYS
+            .iter()
+            .map(|key| key.path)
+            .filter(|path| is_section(path))
+            .collect();
+        assert_eq!(sections, ["variation"]);
+        assert_eq!(KEYS.iter().filter(|key| key.flag.is_some()).count(), 24);
+        let mut flags: Vec<&str> = KEYS.iter().filter_map(|key| key.flag).collect();
+        flags.sort_unstable();
+        flags.dedup();
+        assert_eq!(flags.len(), 24, "no two keys share a flag");
+        // The full config is a valid one: it round-trips through the key check.
+        let text = serde_json::to_string(&full).unwrap();
+        assert_eq!(RunConfig::from_json(&text).unwrap(), full);
+    }
+
+    #[test]
+    fn every_flag_sets_the_same_config_as_its_toml_key() {
+        for key in KEYS {
+            let Some(flag) = key.flag else { continue };
+            let (text, toml_value) = match key.kind {
+                KeyKind::Str => ("x", "\"x\""),
+                KeyKind::List => ("a, b,", "[\"a\", \"b\"]"),
+                KeyKind::Int => ("7", "7"),
+                KeyKind::Num => ("2.5", "2.5"),
+                KeyKind::NumList => ("1,3.5", "[1, 3.5]"),
+                KeyKind::Switch => ("true", "true"),
+            };
+            let from_flag = from_flags(&[(flag, text)]).unwrap();
+            let from_file = if is_section(key.path) {
+                RunConfig::from_json(&format!(r#"{{"{}": {{}}}}"#, key.path)).unwrap()
+            } else {
+                RunConfig::from_toml(&format!("{} = {toml_value}", key.path)).unwrap()
+            };
+            assert_eq!(from_flag, from_file, "--{flag} vs `{}`", key.path);
+            assert_ne!(from_flag, RunConfig::default(), "--{flag} sets nothing");
+        }
+    }
+
+    #[test]
+    fn flags_set_their_keys_over_the_config_file() {
+        let path =
+            std::env::temp_dir().join(format!("slic-config-flags-{}.toml", std::process::id()));
+        std::fs::write(
+            &path,
+            "seed = 3\nlibrary = \"standard\"\nvariation.process_seeds = 30\n",
+        )
+        .unwrap();
+        let flags = |pairs: &[(&str, &str)]| -> BTreeMap<String, String> {
+            pairs
+                .iter()
+                .map(|(flag, text)| (flag.to_string(), text.to_string()))
+                .collect()
+        };
+        let config =
+            RunConfig::with_flags(Some(&path), &flags(&[("seed", "7"), ("variation", "true")]))
+                .unwrap();
+        assert_eq!(config.seed, Some(7), "the flag wins");
+        assert_eq!(
+            config.library.as_deref(),
+            Some("standard"),
+            "the file stays"
+        );
+        assert_eq!(
+            config.variation.as_ref().unwrap().process_seeds,
+            Some(30),
+            "--variation keeps the file's variation section"
+        );
+        let config =
+            RunConfig::with_flags(Some(&path), &flags(&[("variation-sigma", "2")])).unwrap();
+        assert_eq!(
+            config.variation,
+            Some(VariationKnobs {
+                process_seeds: Some(30),
+                sigma_corners: Some(vec![2.0]),
+            })
+        );
+        // Names that are no key's flag (the CLI's own `out`, `shard`, ...) are ignored.
+        let config = RunConfig::with_flags(Some(&path), &flags(&[("out", "run.json")])).unwrap();
+        assert_eq!(config, RunConfig::load(&path).unwrap());
+        std::fs::remove_file(&path).unwrap();
+        // A flag never papers over a file's shape error.
+        let err = RunConfig::from_json(r#"{"variation": 5}"#).unwrap_err();
+        let json =
+            std::env::temp_dir().join(format!("slic-config-flags-{}.json", std::process::id()));
+        std::fs::write(&json, r#"{"variation": 5}"#).unwrap();
+        let overlaid = RunConfig::with_flags(Some(&json), &flags(&[("variation-seeds", "4")]));
+        std::fs::remove_file(&json).unwrap();
+        assert_eq!(overlaid.unwrap_err().to_string(), err.to_string());
+    }
+
+    #[test]
+    fn malformed_flag_values_keep_their_messages() {
+        let message = |pairs: &[(&str, &str)]| from_flags(pairs).unwrap_err().to_string();
+        assert_eq!(
+            message(&[("seed", "x")]),
+            "configuration error: `--seed x` is not an integer"
+        );
+        assert_eq!(
+            message(&[("spawn-workers", "-1")]),
+            "configuration error: `--spawn-workers -1` is not an integer"
+        );
+        assert_eq!(
+            message(&[("wall-pct", "x")]),
+            "configuration error: `--wall-pct x` is not a number"
+        );
+        assert_eq!(
+            message(&[("variation-sigma", "1,a")]),
+            "configuration error: `--variation-sigma 1,a`: `a` is not a number"
+        );
+    }
+
+    #[test]
+    fn unknown_key_messages_list_their_section_in_table_order() {
+        let message = |text: &str| RunConfig::from_toml(text).unwrap_err().to_string();
+        assert_eq!(
+            message("cach = 1"),
+            "configuration error: unknown config key `cach` (expected one of: library, \
+             technology, historical, profile, cell_pattern, drives, metrics, methods, \
+             training_count, validation_points, seed, cache, backend, workers, \
+             spawn_workers, variation, farm, observability)"
+        );
+        assert_eq!(
+            message("variation.seeds = 1"),
+            "configuration error: unknown config key `variation.seeds` (expected one of: \
+             variation.process_seeds, variation.sigma_corners)"
+        );
+        assert_eq!(
+            message("farm.retries = 1"),
+            "configuration error: unknown config key `farm.retries` (expected one of: \
+             farm.retry_budget, farm.reconnect_attempts, farm.backoff_base_ms, \
+             farm.backoff_cap_ms, farm.heartbeat, farm.heartbeat_timeout_ms)"
+        );
+        assert_eq!(
+            message("observability.traec = \"x\""),
+            "configuration error: unknown config key `observability.traec` (expected one \
+             of: observability.trace, observability.ledger, observability.progress, \
+             observability.diff)"
+        );
+        assert_eq!(
+            message("observability.diff.wall_percent = 1.0"),
+            "configuration error: unknown config key `observability.diff.wall_percent` \
+             (expected one of: observability.diff.wall_pct, observability.diff.counter_pct, \
+             observability.diff.hit_rate_drop_pct)"
+        );
+    }
+
+    #[test]
+    fn integers_from_2_pow_53_are_rejected_not_rounded() {
+        let too_large = "9007199254740993"; // 2^53 + 1, which f64 rounds to 2^53.
+        let err = RunConfig::from_toml(&format!("seed = {too_large}"))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("config key `seed` is too large"), "{err}");
+        assert!(err.contains("2^53"), "{err}");
+        let err = RunConfig::from_json(r#"{"farm": {"backoff_cap_ms": 9007199254740992}}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("config key `farm.backoff_cap_ms` is too large"),
+            "{err}"
+        );
+        let err = from_flags(&[("seed", too_large)]).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("`--seed {too_large}` is too large")),
+            "{err}"
+        );
+        // 2^53 − 1 is the largest integer a config holds exactly, on both paths.
+        let largest = (1u64 << 53) - 1;
+        let from_file = RunConfig::from_toml(&format!("seed = {largest}")).unwrap();
+        let from_flag = from_flags(&[("seed", &largest.to_string())]).unwrap();
+        assert_eq!(from_file.seed, Some(largest));
+        assert_eq!(from_flag.seed, Some(largest));
+        // Number keys are not integers and keep their full range.
+        assert!(RunConfig::from_toml("observability.diff.wall_pct = 1e300").is_ok());
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        let fingerprint = |config: RunConfig| config.resolve().unwrap().fingerprint();
+        assert_eq!(fingerprint(RunConfig::default()), "17c4d57e20eb0a38");
+        let seeded = RunConfig {
+            seed: Some(7),
+            ..RunConfig::default()
+        };
+        assert_eq!(fingerprint(seeded), "1ffd94f7e40a4172");
+    }
+
+    #[test]
+    fn every_key_is_documented_in_the_quick_config() {
+        let quick = include_str!("../../../configs/quick.toml");
+        for key in KEYS {
+            let spelled = if is_section(key.path) {
+                format!("{}.", key.path)
+            } else {
+                format!("{} =", key.path)
+            };
+            assert!(
+                quick.contains(&spelled),
+                "configs/quick.toml lacks `{spelled}`"
+            );
+        }
     }
 }

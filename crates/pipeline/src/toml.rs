@@ -18,7 +18,7 @@ use serde::Value;
 ///
 /// Returns a [`PipelineError::Config`] naming the offending line on any syntax error.
 pub fn parse(text: &str) -> Result<Value, PipelineError> {
-    let mut entries: Vec<(String, Value)> = Vec::new();
+    let mut root = Value::Object(Vec::new());
     for (index, raw_line) in text.lines().enumerate() {
         let line = strip_comment(raw_line).trim();
         if line.is_empty() {
@@ -50,43 +50,55 @@ pub fn parse(text: &str) -> Result<Value, PipelineError> {
                 "line {lineno}: empty segment in dotted key `{key}`"
             )));
         }
-        insert_nested(&mut entries, &segments, value, lineno)?;
-    }
-    Ok(Value::Object(entries))
-}
-
-/// Inserts `value` at the nested path `segments`, creating intermediate objects and
-/// rejecting conflicts (a path segment that already holds a plain value, or a duplicate
-/// leaf) instead of silently overwriting.
-fn insert_nested(
-    entries: &mut Vec<(String, Value)>,
-    segments: &[&str],
-    value: Value,
-    lineno: usize,
-) -> Result<(), PipelineError> {
-    // slic-lint: allow(P1) -- structural: the only caller splits a non-empty dotted key, so segments always has a head.
-    let (head, rest) = segments.split_first().expect("segments are non-empty");
-    let existing = entries.iter_mut().find(|(k, _)| k == head);
-    if rest.is_empty() {
-        if existing.is_some() {
+        // slic-lint: allow(P1) -- structural: the key is non-empty, so segments always has a leaf.
+        let (leaf, sections) = segments.split_last().expect("segments are non-empty");
+        let entries = section_mut(&mut root, sections).map_err(|head| {
+            PipelineError::config(format!(
+                "line {lineno}: key `{head}` holds a value and cannot also be a dotted table"
+            ))
+        })?;
+        if entries.iter().any(|(k, _)| k == leaf) {
             return Err(PipelineError::config(format!(
-                "line {lineno}: duplicate key `{head}`"
+                "line {lineno}: duplicate key `{leaf}`"
             )));
         }
-        entries.push((head.to_string(), value));
-        return Ok(());
+        entries.push((leaf.to_string(), value));
     }
-    match existing {
-        Some((_, Value::Object(inner))) => insert_nested(inner, rest, value, lineno),
-        Some(_) => Err(PipelineError::config(format!(
-            "line {lineno}: key `{head}` holds a value and cannot also be a dotted table"
-        ))),
-        None => {
-            let mut inner = Vec::new();
-            insert_nested(&mut inner, rest, value, lineno)?;
-            entries.push((head.to_string(), Value::Object(inner)));
-            Ok(())
+    Ok(root)
+}
+
+/// The object reached from `root` through the keys `segments` (none: `root` itself),
+/// created where a key is absent or `null`.  `Err` names the first key that already holds
+/// something else, which is never silently replaced.
+pub(crate) fn section_mut<'a, 's>(
+    root: &'a mut Value,
+    segments: &[&'s str],
+) -> Result<&'a mut Vec<(String, Value)>, &'s str> {
+    let mut node = root;
+    let mut holder = "";
+    for &segment in segments {
+        if node.is_null() {
+            *node = Value::Object(Vec::new());
         }
+        let Value::Object(entries) = node else {
+            return Err(holder);
+        };
+        let index = match entries.iter().position(|(k, _)| k == segment) {
+            Some(index) => index,
+            None => {
+                entries.push((segment.to_string(), Value::Null));
+                entries.len() - 1
+            }
+        };
+        node = &mut entries[index].1;
+        holder = segment;
+    }
+    if node.is_null() {
+        *node = Value::Object(Vec::new());
+    }
+    match node {
+        Value::Object(entries) => Ok(entries),
+        _ => Err(holder),
     }
 }
 

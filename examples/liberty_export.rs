@@ -2,14 +2,14 @@
 //!
 //! This is the "what do I actually ship to the STA tool" end of the flow: the standard
 //! library is characterized at the technology's nominal supply on a 4×4 slew/load grid and
-//! written to `target/slic_target14_example.lib`.
+//! written to `slic_target14_example.lib` in the system temporary directory
+//! (`std::env::temp_dir()`).
 //!
 //! Run with `cargo run --release --example liberty_export`.
 
 use slic::liberty::{export_library, ExportGrid};
 use slic::prelude::*;
 use std::fs;
-use std::path::Path;
 
 fn main() {
     let tech = TechnologyNode::target_14nm();
@@ -39,7 +39,7 @@ fn main() {
         text.lines().count()
     );
 
-    let out_path = Path::new("target").join("slic_target14_example.lib");
+    let out_path = std::env::temp_dir().join("slic_target14_example.lib");
     match fs::write(&out_path, &text) {
         Ok(()) => println!("written to {}", out_path.display()),
         Err(err) => println!(
